@@ -49,6 +49,10 @@ class PdesResult:
     #: Shard-worker crash/hang recoveries (respawn + replay); an
     #: execution-substrate fact, excluded from the digest.
     recoveries: int = 0
+    #: Coordinator wall time blocked on superstep replies (substrate).
+    barrier_wait_s: float = 0.0
+    #: Simulated time one superstep advances, on average (substrate).
+    mean_window_us: float = 0.0
 
 
 def run_pdes(
@@ -118,6 +122,8 @@ def run_pdes(
         ok=r.ok,
         wall_s=wall,
         recoveries=r.recoveries,
+        barrier_wait_s=r.barrier_wait_s,
+        mean_window_us=r.mean_window_us,
     )
 
 
@@ -132,6 +138,8 @@ def format_pdes(res: PdesResult) -> str:
         f"  supersteps   : {res.supersteps} "
         f"(lookahead {res.lookahead_us:g} us, "
         f"{res.messages_crossed} cross-shard messages)\n"
+        f"  windows      : mean {res.mean_window_us:.1f} us simulated, "
+        f"barrier wait {res.barrier_wait_s:.2f} s\n"
         + (
             f"  recoveries   : {res.recoveries} shard-worker respawns\n"
             if res.recoveries

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
@@ -177,6 +178,14 @@ class ReliableTransport:
                 dst_node, src_node, self.ACK_NBYTES, key, self._on_ack,
                 faultable=False,
             )
+
+    def next_timeout(self) -> float:
+        """Earliest pending retransmit timer (``inf`` when none is armed) —
+        the only moment this transport sends of its own accord."""
+        return min(
+            (e[5].time for e in self._inflight.values() if e[5] is not None),
+            default=math.inf,
+        )
 
     def _on_ack(self, key: tuple) -> None:
         entry = self._inflight.pop(key, None)

@@ -458,6 +458,8 @@ class MpiJob:
         self.timer_threads: list[Thread] = []
         self._done = 0
         self._finish_times: dict[int, float] = {}
+        #: Rank that last pinned :meth:`earliest_output_time` (a shortcut only).
+        self._eot_hint: Optional[Thread] = None
         self.start_time = cluster.sim.now
         #: Ranks this cluster instance simulates (all of them serially;
         #: the owned shard block under parallel DES).
@@ -547,6 +549,79 @@ class MpiJob:
             "timer_threads": [desc.thread(t) for t in self.timer_threads],
             "world": self.world.snapshot_state(desc),
         }
+
+    def earliest_output_time(self, next_event: float) -> float:
+        """Lower bound on when this job can next send a cross-node message.
+
+        Parallel DES asks this of every shard at each barrier (the CMB
+        *earliest output time*).  *next_event* is the shard's next event
+        time: nothing on the shard happens before it except what the
+        envelopes delivered at the barrier set off, which the coordinator
+        accounts for separately — so the result is never below it.  Only
+        three things ever emit a message: a rank thread's send, which
+        follows a completed ``Compute``; a reliable-transport ack, at a
+        data arrival; and a retransmit, at its timer.  So the bound is
+        the minimum of
+
+        * each unfinished rank's next possible resumption: a running
+          compute segment cannot end before ``run_start + run_work`` (the
+          CPU cannot do more work than time passes, and preemption, IPIs
+          and ticks only add to it); a ready one cannot start before the
+          next event, so not end before ``next_event + work_remaining``;
+          a sleeper not before its wake event;
+        * every message still on the local wire, since its arrival can
+          release a rank spinning or blocked in an MPI receive;
+        * every armed retransmit timer.
+
+        A rank in a state the bound cannot classify (not yet started, a
+        continuation pending, or waiting on something other than an MPI
+        message) pins the bound to *next_event*.  ``inf`` means no send is
+        possible until a message arrives from elsewhere.
+
+        Once some rank pins the bound to *next_event* the scan stops.  A
+        rank with a continuation pending usually waits for its CPU across
+        many barriers, so the last one found is checked before anything
+        else.
+        """
+        hint = self._eot_hint
+        if hint is not None and hint.resume_advance:
+            return next_event
+        world = self.world
+        eot = self.cluster.fabric.next_arrival()
+        if world.reliability is not None:
+            eot = min(eot, world.reliability.next_timeout())
+        if eot <= next_event:
+            return next_event
+        mpi_waiters = None
+        for t in self.tasks:
+            state = t.state
+            if state is ThreadState.FINISHED:
+                continue
+            if state is ThreadState.NEW or t.resume_advance:
+                bound = next_event
+            elif t.spinning is not None or state is ThreadState.BLOCKED:
+                if mpi_waiters is None:
+                    mpi_waiters = {*world._spin_waiters.values()}
+                    mpi_waiters.update(world._block_waiters.values())
+                if t in mpi_waiters:
+                    continue  # released only by an arrival, counted above
+                bound = next_event
+            elif state is ThreadState.RUNNING:
+                if t.completion_ev is None:
+                    bound = next_event
+                else:
+                    bound = t.run_start + t.run_work
+            elif state is ThreadState.READY:
+                bound = next_event + t.work_remaining
+            elif t.wake_ev is not None:  # SLEEPING
+                bound = t.wake_ev.time
+            else:
+                bound = next_event
+            if bound <= next_event:
+                self._eot_hint = t
+                return next_event
+            eot = min(eot, bound)
+        return eot
 
     @property
     def local_done(self) -> int:

@@ -15,11 +15,12 @@ interference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.config import NetworkConfig
-from repro.sim.core import EventPriority, Simulator
+from repro.sim.core import Event, EventPriority, Simulator
 
 __all__ = ["Fabric", "MessageStats"]
 
@@ -44,11 +45,18 @@ class Fabric:
     is ``None`` (every non-fault run) the path is a single ``is None`` test.
     """
 
-    def __init__(self, sim: Simulator, config: NetworkConfig) -> None:
+    def __init__(
+        self, sim: Simulator, config: NetworkConfig, track_arrivals: bool = False
+    ) -> None:
         self.sim = sim
         self.config = config
         self.stats = MessageStats()
         self.fault_plane = None
+        #: Handles of scheduled arrivals for :meth:`next_arrival`, kept only
+        #: when *track_arrivals* is set (parallel-DES shards: an arrival can
+        #: release a rank or trigger an ack that crosses shards); ``None``
+        #: costs serial runs one test per message.
+        self._arrivals: Optional[list[Event]] = [] if track_arrivals else None
 
     def snapshot_state(self, desc) -> dict:
         """Checkpoint view: cumulative message counters."""
@@ -92,13 +100,36 @@ class Fabric:
             self.stats.intra_node += 1
         arrival = self.sim.now + wire
         if self.fault_plane is not None and faultable:
-            for extra in self.fault_plane.plan(src_node, dst_node, nbytes):
-                self.sim.schedule_at(
-                    arrival + extra, on_arrive, payload, priority=EventPriority.MESSAGE
-                )
-            return arrival
-        self.sim.schedule_at(arrival, on_arrive, payload, priority=EventPriority.MESSAGE)
+            extras = self.fault_plane.plan(src_node, dst_node, nbytes)
+        else:
+            extras = (0.0,)
+        for extra in extras:
+            self.schedule_arrival(arrival + extra, on_arrive, payload)
         return arrival
+
+    def schedule_arrival(
+        self, time: float, on_arrive: Callable[[Any], None], payload: Any
+    ) -> None:
+        """Deliver *payload* to *on_arrive* at *time* (message priority).
+
+        Point-to-point arrivals enter the event queue here — local
+        transmits and, under parallel DES, envelopes from other shards —
+        so :meth:`next_arrival` sees every message still on the wire.
+        """
+        ev = self.sim.schedule_at(time, on_arrive, payload, priority=EventPriority.MESSAGE)
+        if self._arrivals is not None:
+            self._arrivals.append(ev)
+
+    def next_arrival(self) -> float:
+        """Earliest pending arrival (``inf`` when none is in flight); needs
+        *track_arrivals*.
+
+        Fired and cancelled handles are dropped on the way, so the list
+        holds only messages still on the wire.
+        """
+        live = [ev for ev in self._arrivals if ev.active]
+        self._arrivals = live
+        return min((ev.time for ev in live), default=math.inf)
 
     def wire_time(self, nbytes: int, same_node: bool) -> float:
         """Wire time at the *current* simulated instant.

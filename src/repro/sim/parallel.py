@@ -5,8 +5,8 @@ reference oracle; this module adds a **conservative synchronous-window**
 parallel mode on top of it, in the classic null-message family (CMB):
 instead of per-channel null messages, a coordinator broadcasts the global
 lower bound every superstep — equivalent to each shard sending a null
-message carrying ``next_event_time + lookahead`` to every peer, with the
-coordinator folding the min.
+message carrying ``earliest_output_time + lookahead`` to every peer, with
+the coordinator folding the min.
 
 How a superstep works
 ---------------------
@@ -18,8 +18,17 @@ they are inert).  Cross-shard MPI sends become timestamped envelopes in a
 :class:`~repro.sim.shard.ShardRouter` outbox instead of local schedules.
 The coordinator repeats:
 
-1. collect each shard's next-event time and undelivered envelopes;
-2. ``N  = min(next-event times ∪ pending envelope arrivals)``
+1. collect each shard's **earliest output time** ``EOT_s`` and its
+   undelivered envelopes.  ``EOT_s`` is a lower bound on when the shard
+   can next send across shards, derived from model state by
+   :meth:`repro.mpi.world.MpiJob.earliest_output_time` — only a rank's
+   send (after a completed ``Compute``), a reliable-transport ack (at a
+   data arrival) and a retransmit (at its timer) ever emit, so the bound
+   is the earliest of the ranks' compute completions and sleeps, the
+   messages still on the local wire, and the armed retransmit timers —
+   floored at the shard's next event time (``None``: nothing can be sent
+   until an envelope arrives);
+2. ``N  = min(EOT_s ∪ pending envelope arrivals)``
    ``H' = N + L``  where ``L`` is the fabric's minimum cross-node wire
    latency over the window — ``NetworkConfig.latency_at(N)``, further
    clamped by any scheduled latency change that takes effect inside the
@@ -28,23 +37,38 @@ The coordinator repeats:
    ``(arrival, src_node, link_seq)``) and let every shard run events
    strictly ``< H'`` in parallel (:meth:`Simulator.run_until_before`).
 
-Safety: every event fired in the window has ``t ≥ N``.  A message sent
-at ``t`` before a latency change at ``C`` pays the pre-change latency
-``l_old ≥ L`` so arrives ``≥ N + L = H'``; one sent at ``t ≥ C`` pays
-``l_new``, and if ``C ≤ H' = N + min(l_old, l_new, …)`` then
-``t + l_new ≥ C + l_new > H'`` — either way outside the window, hence no
-shard can receive a message from the past.  Envelope arrivals are
-likewise ``≥ H'``, so delivering them at the barrier (``now = H'``)
-never schedules into the past.
+A rank inside a 20 ms compute segment therefore no longer caps the window
+at one wire latency past the shard's next daemon event: the window
+reaches to the segment's end plus ``L``.  Windows now depend on the shard
+count, so the run does not simply stop after the window in which the
+last rank finished: every shard runs on to one wire latency past that
+finish (the furthest that window can reach), and traffic still in flight
+after the job — late duplicates, acks, retransmits — is counted up to the
+same cut at any shard count.
+
+Safety: every cross-shard send in the window happens at ``t ≥ N``.  On
+shard ``s`` a send is either caused by state the shard saw at the
+barrier, so ``t ≥ EOT_s``, or by an envelope delivered at this barrier,
+so ``t ≥`` its arrival; both are ``≥ N``.  A message sent at ``t``
+before a latency change at ``C`` pays the pre-change latency ``l_old ≥
+L`` so arrives ``≥ N + L = H'``; one sent at ``t ≥ C`` pays ``l_new``,
+and if ``C ≤ H' = N + min(l_old, l_new, …)`` then ``t + l_new ≥ C +
+l_new > H'`` — either way outside the window, hence no shard can receive
+a message from the past.  Envelope arrivals are likewise ``≥ H'``, so
+delivering them at the barrier (``now = H'``) never schedules into the
+past.  Each shard's router holds it to that promise — ``min(EOT_s,
+arrivals delivered with the window)`` — and raises at the first send
+that breaks it (:meth:`~repro.sim.shard.ShardRouter.emit`), so a bound
+that is too optimistic fails loudly instead of corrupting another shard.
 
 Determinism: the window boundary sequence is a pure function of the
-global event stream, per-shard event order is the serial engine's total
-``(time, priority, seq)`` order, cross-shard deliveries are sorted
-canonically before scheduling, and all runtime randomness comes from
-shard-stable named streams — including per-link message-fault draws,
-per-node pipe-loss draws, and the retransmit layer's ack traffic (see
-:mod:`repro.sim.shard`).  Sharded runs therefore reproduce the serial
-oracle's **result digest byte-for-byte** — enforced by
+shards' model state at each barrier, per-shard event order is the serial
+engine's total ``(time, priority, seq)`` order, cross-shard deliveries
+are sorted canonically before scheduling, and all runtime randomness
+comes from shard-stable named streams — including per-link message-fault
+draws, per-node pipe-loss draws, and the retransmit layer's ack traffic
+(see :mod:`repro.sim.shard`).  Sharded runs therefore reproduce the
+serial oracle's **result digest byte-for-byte** — enforced by
 ``tests/test_parallel_des.py`` and the CI ``parallel-des-smoke`` /
 ``shard-chaos-smoke`` jobs.
 
@@ -77,6 +101,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import math
 import multiprocessing
 import os
 import signal
@@ -243,40 +268,54 @@ class ShardHost:
             name=spec.job_name,
         )
         self._pending = None
+        self._eot = math.inf
 
     # -- superstep protocol -------------------------------------------
+    def _earliest_output_time(self) -> Optional[float]:
+        """This shard's EOT (:meth:`~repro.mpi.world.MpiJob.earliest_output_time`),
+        kept as the next window's promise; ``None`` when nothing can be
+        sent until an envelope arrives — including when no event is queued."""
+        nxt = self.system.sim.peek_time()
+        self._eot = math.inf if nxt is None else self.job.earliest_output_time(nxt)
+        return None if self._eot == math.inf else self._eot
+
+    def _last_finish(self) -> Optional[float]:
+        """When the latest local rank finished (``None`` before any has)."""
+        return max(self.job._finish_times.values(), default=None)
+
     def ready(self) -> tuple:
-        """Initial report: ``(next_event_time, local_done, events)``."""
-        return (self.system.sim.peek_time(), self.job.local_done, 0)
+        """Initial report: ``(earliest_output_time, local_done, last_finish)``."""
+        return (self._earliest_output_time(), self.job.local_done, self._last_finish())
 
     def step_send(self, horizon: float, incoming: list[tuple]) -> None:
-        """Deliver *incoming* envelopes, then run the window ``[now, horizon)``."""
-        from repro.sim.core import EventPriority
+        """Deliver *incoming* envelopes, then run the window ``[now, horizon)``.
 
+        The promise the router holds this window to is the EOT reported
+        at the last barrier, lowered to the earliest incoming arrival — a
+        delivered envelope can release a rank or trigger an ack the
+        reported bound could not know about.
+        """
         sim = self.system.sim
+        fabric = self.system.cluster.fabric
         router = self.router
+        router.promise = min([self._eot, *(env[0] for env in incoming)])
         # Canonical delivery order: (arrival, src_node, link_seq) is
         # globally unique, so the schedule (and hence heap seq) order of
         # same-instant cross-shard arrivals is shard-count independent.
         for env in sorted(incoming, key=lambda e: e[:3]):
             arrival, _src, _seq, world_uid, _dst, payload = env
             router.received += 1
-            sim.schedule_at(
-                arrival,
-                router.deliver_target(world_uid),
-                payload,
-                priority=EventPriority.MESSAGE,
-            )
-        processed = sim.run_until_before(horizon)
+            fabric.schedule_arrival(arrival, router.deliver_target(world_uid), payload)
+        sim.run_until_before(horizon)
         self._pending = (
-            sim.peek_time(),
+            self._earliest_output_time(),
             router.drain(),
             self.job.local_done,
-            processed,
+            self._last_finish(),
         )
 
     def step_recv(self) -> tuple:
-        """``(next_event_time, outbox, local_done, events_processed)``."""
+        """``(earliest_output_time, outbox, local_done, last_finish)``."""
         out, self._pending = self._pending, None
         return out
 
@@ -495,8 +534,12 @@ class ParallelRunResult:
     shard whose ranks finish early retires its co-scheduler earlier than
     the serial schedule would, which shifts background-only events
     without touching any rank-visible timing.  ``counters`` (summed
-    fault/resilience counters) IS shard-count invariant; ``recoveries``
-    (supervisor respawns) is an execution-substrate fact and excluded.
+    fault/resilience counters, taken at the common end cut one wire
+    latency past the last rank's finish) IS shard-count invariant;
+    ``recoveries``
+    (supervisor respawns), ``barrier_wait_s`` and ``mean_window_us`` are
+    execution-substrate facts and excluded.  ``lookahead_us`` is the
+    smallest latency floor ``L`` any window used, not a window length.
     """
 
     shards: int
@@ -511,6 +554,10 @@ class ParallelRunResult:
     wall_s: float = 0.0
     counters: dict = field(default_factory=dict)
     recoveries: int = 0
+    #: Coordinator wall time blocked collecting superstep replies.
+    barrier_wait_s: float = 0.0
+    #: Simulated time one superstep advances, on average.
+    mean_window_us: float = 0.0
 
     @property
     def events_total(self) -> int:
@@ -689,43 +736,53 @@ def run_parallel(
 
     ok_exit = False
     lookahead_min: Optional[float] = None
+    barrier_wait = 0.0
     try:
         for sid in range(shards):
             hosts.append(_spawn(sid))
-        next_ts: list[Optional[float]] = []
+        eots: list[Optional[float]] = []
         done = []
+        last_finish: list[Optional[float]] = []
         events = [0] * shards
         for h in hosts:
-            nt, dn, ev = h.ready()
-            next_ts.append(nt)
+            eot, dn, lf = h.ready()
+            eots.append(eot)
             done.append(dn)
+            last_finish.append(lf)
         pending: list[list[tuple]] = [[] for _ in range(shards)]
         crossed = 0
-        while sum(done) < n_ranks:
-            candidates = [t for t in next_ts if t is not None]
+        #: Where the run ends once every rank has finished (see below).
+        stop_at: Optional[float] = None
+        while stop_at is None or history[-1][0] < stop_at:
+            candidates = [t for t in eots if t is not None]
             candidates += [env[0] for envs in pending for env in envs]
-            if not candidates:
-                raise RuntimeError(
-                    f"parallel deadlock: {sum(done)}/{n_ranks} ranks finished "
-                    "with no pending events or messages"
+            if stop_at is None:
+                if not candidates:
+                    raise RuntimeError(
+                        f"parallel deadlock: {sum(done)}/{n_ranks} ranks finished "
+                        "with no pending events or messages"
+                    )
+                if min(candidates) >= horizon_us:
+                    raise RuntimeError(
+                        f"job {job_name!r} incomplete at horizon {horizon_us}: "
+                        f"{sum(done)}/{n_ranks} ranks finished"
+                    )
+            window = stop_at
+            if candidates:
+                frontier = min(candidates)
+                # Adaptive lookahead: the latency in force at the frontier,
+                # clamped by any scheduled change landing inside the window
+                # (see the safety argument in the module docstring).
+                lookahead = net.latency_at(frontier)
+                for at_us, lat in net.latency_changes:
+                    if frontier < at_us <= frontier + net.latency_at(frontier):
+                        lookahead = min(lookahead, lat)
+                lookahead_min = (
+                    lookahead if lookahead_min is None else min(lookahead_min, lookahead)
                 )
-            frontier = min(candidates)
-            if frontier >= horizon_us:
-                raise RuntimeError(
-                    f"job {job_name!r} incomplete at horizon {horizon_us}: "
-                    f"{sum(done)}/{n_ranks} ranks finished"
-                )
-            # Adaptive lookahead: the latency in force at the frontier,
-            # clamped by any scheduled change landing inside the window
-            # (see the safety argument in the module docstring).
-            lookahead = net.latency_at(frontier)
-            for at_us, lat in net.latency_changes:
-                if frontier < at_us <= frontier + net.latency_at(frontier):
-                    lookahead = min(lookahead, lat)
-            lookahead_min = (
-                lookahead if lookahead_min is None else min(lookahead_min, lookahead)
-            )
-            window = frontier + lookahead
+                window = frontier + lookahead
+                if stop_at is not None:
+                    window = min(window, stop_at)
             if _superstep_hook is not None:
                 _superstep_hook(len(history), hosts)
             snapshot = [list(p) for p in pending]
@@ -741,17 +798,29 @@ def run_parallel(
                 _maybe_kill(sid, "mid")
             for sid in range(shards):
                 if replies[sid] is None:
+                    wait0 = _time.perf_counter()
                     try:
                         replies[sid] = hosts[sid].step_recv()
                     except (ShardWorkerDied, ShardWorkerHung) as exc:
                         replies[sid] = _recover(sid, window, snapshot[sid], exc)
-                nt, outbox, dn, _proc = replies[sid]
-                next_ts[sid] = nt
+                    barrier_wait += _time.perf_counter() - wait0
+                eot, outbox, dn, lf = replies[sid]
+                eots[sid] = eot
                 done[sid] = dn
+                last_finish[sid] = lf
                 for env in outbox:
                     pending[plan.shard_of(env[4])].append(env)
                     crossed += 1
             history.append((window, snapshot))
+            if stop_at is None and sum(done) == n_ranks:
+                # The last rank finished inside this window, whose frontier
+                # was at or before that finish, so the window ends at most
+                # one wire latency past it — how far depends on the shard
+                # count.  Every shard runs on to exactly that latency, so
+                # events after the job (late duplicates, acks, retransmits)
+                # count identically at any shard count.
+                t_end = max(t for t in last_finish if t is not None)
+                stop_at = t_end + net.latency_at(t_end)
 
         merged_ranks: dict = {}
         counters: dict = {}
@@ -795,4 +864,6 @@ def run_parallel(
         wall_s=_time.perf_counter() - wall0,
         counters=counters,
         recoveries=recoveries,
+        barrier_wait_s=barrier_wait,
+        mean_window_us=history[-1][0] / len(history) if history else 0.0,
     )

@@ -39,6 +39,7 @@ switch-combine hop is shorter than the conservative lookahead (see
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -163,13 +164,23 @@ class ShardRouter:
     registers its arrival callback at construction, and worlds are
     constructed in launch order on **every** shard, so uids agree across
     shards without any name exchange.
+
+    ``promise`` is the earliest send time this shard vouched for at the
+    last barrier (its earliest output time, lowered to the arrival of any
+    envelope delivered with the window).  The coordinator sized every
+    window on it, so :meth:`emit` refuses an envelope sent before it: a
+    bound that is too optimistic fails at the send that breaks it, not as
+    a schedule-in-the-past error on some other shard.  *clock* (the
+    shard's simulator, or anything with a ``now``) dates the sends.
     """
 
-    def __init__(self, plan: ShardPlan, shard_id: int) -> None:
+    def __init__(self, plan: ShardPlan, shard_id: int, clock: Any) -> None:
         if not 0 <= shard_id < plan.n_shards:
             raise ValueError(f"shard_id {shard_id} out of range 0..{plan.n_shards - 1}")
         self.plan = plan
         self.shard_id = shard_id
+        self.clock = clock
+        self.promise = -math.inf
         self.outbox: list[tuple] = []
         self.sent = 0
         self.received = 0
@@ -198,6 +209,11 @@ class ShardRouter:
         payload: Any,
     ) -> None:
         """Queue one cross-shard message envelope (send side)."""
+        if self.clock.now < self.promise:
+            raise RuntimeError(
+                f"shard {self.shard_id} sent an envelope at t={self.clock.now!r} "
+                f"before its promised earliest output time {self.promise!r}"
+            )
         self.sent += 1
         self.outbox.append(
             (arrival_time, src_node, next(self._link_seq), world_uid, dst_node, payload)

@@ -50,6 +50,22 @@ class TestFabric:
         with pytest.raises(ValueError):
             fab.transmit(0, 1, -1, None, lambda m: None)
 
+    def test_tracked_arrivals_report_the_earliest_in_flight(self):
+        """Parallel DES bounds a shard's next send by the messages still on
+        its wire: tracked arrivals are reported until they fire."""
+        sim = Simulator()
+        net = NetworkConfig(latency_us=24.0, shm_latency_us=3.0, per_byte_us=0.0)
+        fab = Fabric(sim, net, track_arrivals=True)
+        assert fab.next_arrival() == float("inf")
+        fab.transmit(0, 1, 0, None, lambda m: None)
+        fab.transmit(2, 2, 0, None, lambda m: None)
+        fab.schedule_arrival(10.0, lambda m: None, None)
+        assert fab.next_arrival() == pytest.approx(3.0)
+        sim.run_until(5.0)
+        assert fab.next_arrival() == pytest.approx(10.0)
+        sim.run()
+        assert fab.next_arrival() == float("inf")
+
     def test_ordering_preserved_same_pair(self):
         sim = Simulator()
         fab = Fabric(sim, NetworkConfig(per_byte_us=0.0))

@@ -14,7 +14,7 @@ creation-order independence of named RNG streams.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import (
     CoschedConfig,
@@ -271,6 +271,12 @@ def chaos_faults(**overrides):
     return FaultConfig(**kw)
 
 
+#: Supersteps of the 4-shard run in ``test_full_fault_stack_equivalence``
+#: when every window was capped at one wire latency past the next event
+#: (the coordinator before earliest-output-time windows).
+NEXT_EVENT_WINDOW_SUPERSTEPS = 1480
+
+
 class TestFaultEquivalence:
     """Drop/dup/delay, pipe loss, timesync loss, retransmit, and the
     watchdog all draw from per-link / per-node streams now — the full
@@ -293,6 +299,10 @@ class TestFaultEquivalence:
             assert r.digest == base.digest
             # Fault bookkeeping is also shard-count invariant when summed.
             assert r.counters == base.counters
+        # Retransmit timers and acks are senders too; with them in the
+        # earliest-output-time bound, 4 shards need no more supersteps
+        # than next-event windows did.
+        assert runs[2].supersteps <= NEXT_EVENT_WINDOW_SUPERSTEPS
 
     def test_full_fault_stack_forked_workers(self):
         cfg = small_config(faults=chaos_faults())
@@ -308,6 +318,9 @@ class TestFaultEquivalence:
         delay=st.floats(0.0, 0.15),
         pipe=st.floats(0.0, 0.4),
     )
+    # Duplicates still on the wire when the last rank finishes: they count
+    # only if the run's end cut is the same at every shard count.
+    @example(seed=0, drop=0.0, dup=0.125, delay=0.0, pipe=0.0)
     @settings(max_examples=6, deadline=None)
     def test_randomized_fault_equivalence(self, seed, drop, dup, delay, pipe):
         cfg = small_config(
@@ -358,6 +371,79 @@ class TestAdaptiveLookahead:
         plain = run_shards(base_cfg, 2)
         assert runs[1].supersteps > plain.supersteps
         assert runs[1].digest != plain.digest  # the change is a model change
+
+
+# ---------------------------------------------------------------------------
+# Earliest-output-time windows: model-derived lookahead, self-checked
+# ---------------------------------------------------------------------------
+
+class TestEarliestOutputTime:
+    def test_pdes_panel_case_needs_few_supersteps(self):
+        """The ``pdes`` benchmark case (32 ranks on 2 nodes, 8 calls 20 ms
+        apart, model seed 1234): ranks computing for 20 ms let the window
+        run to the end of the segment, instead of one wire latency past
+        the next daemon event (7,800 supersteps)."""
+        noise = scale_noise(standard_noise(include_cron=False), 50.0)
+        cfg = make_config(VANILLA16, n_ranks=32, noise=noise, seed=1234)
+        params = dict(
+            loops=1, calls_per_loop=8, trace_block=64,
+            compute_between_us=20000.0, payload_bytes=8, record_nodes=(0,),
+        )
+        runs = [
+            run_parallel(
+                cfg, n_ranks=32, tasks_per_node=16, app=APP, app_params=params,
+                shards=n, horizon_us=s(600), use_processes=False,
+            )
+            for n in (1, 2)
+        ]
+        assert runs[1].digest == runs[0].digest
+        assert runs[1].ok
+        assert runs[1].messages_crossed == 256
+        assert runs[1].supersteps <= 2000
+        # Substrate metrics are reported and stay out of the digest.
+        assert runs[1].mean_window_us > runs[1].lookahead_us
+        assert runs[1].barrier_wait_s >= 0.0
+        assert "mean_window_us" not in runs[1].digest_payload()
+
+    def test_bound_follows_rank_state(self):
+        """Computing ranks bound the next send by their segment's end; a
+        finished job can send nothing, ever."""
+        from repro.system import System
+
+        sysm = System(small_config(), shard=(0, ShardPlan(4, 1)))
+
+        def body(rank, api):
+            yield from api.compute(ms(5))
+
+        job = sysm.launch(16, 16, body)
+        sim = sysm.sim
+        assert job.earliest_output_time(sim.peek_time()) >= ms(5)
+        job.run(horizon_us=s(1))
+        assert job.earliest_output_time(sim.now) == float("inf")
+
+    def test_over_optimistic_bound_is_caught_at_the_send(self, monkeypatch):
+        """A bound that promises more than the model keeps fails at the
+        first envelope sent before the promise, naming shard, send time
+        and promise — not as a schedule-in-the-past error elsewhere."""
+        import re
+
+        from repro.mpi.world import MpiJob
+
+        honest = MpiJob.earliest_output_time
+        monkeypatch.setattr(
+            MpiJob,
+            "earliest_output_time",
+            lambda job, next_event: honest(job, next_event) + ms(1),
+        )
+        with pytest.raises(RuntimeError) as exc_info:
+            run_shards(small_config(), 2)
+        m = re.fullmatch(
+            r"shard (\d) sent an envelope at t=(\S+) "
+            r"before its promised earliest output time (\S+)",
+            str(exc_info.value),
+        )
+        assert m, str(exc_info.value)
+        assert float(m.group(2)) < float(m.group(3))
 
 
 # ---------------------------------------------------------------------------
