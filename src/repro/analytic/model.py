@@ -90,6 +90,8 @@ class AllreduceSeriesModel:
     # Schedule construction
     # ------------------------------------------------------------------
     def _build_schedule(self) -> None:
+        # Built once per model with the schedule: everything a call needs
+        # that does not depend on the call (index arrays, pair latencies).
         n = self.n
         pof2 = 1 << (n.bit_length() - 1)
         rem = n - pof2
@@ -107,17 +109,29 @@ class AllreduceSeriesModel:
         # Inverse: newrank -> real rank.
         inv = np.full(pof2, -1, dtype=int)
         active = newrank >= 0
-        inv[newrank[active]] = ranks[active]
-        self.active_mask = active
-        self.newrank = newrank
+        act_ranks = ranks[active]
+        inv[newrank[active]] = act_ranks
+        # Position of each active rank within the active subset.
+        pos = np.full(n, -1, dtype=int)
+        pos[act_ranks] = np.arange(act_ranks.size)
+
+        # Ranks in the power-of-two phase; fold pairs are (2i, 2i+1), i < rem.
+        self._act = slice(None) if rem == 0 else act_ranks
+        self._evens = slice(0, 2 * rem, 2)
+        self._odds = slice(1, 2 * rem, 2)
+        self._fold_lat = self._pair_latency(ranks[self._evens], ranks[self._odds])
+        self._unfold_lat = self._pair_latency(ranks[self._odds], ranks[self._evens])
 
         self.rounds: list[np.ndarray] = []  # per-round partner (real ranks), -1 = idle
+        # Per round: partner positions among the active ranks, latencies.
+        self._steps: list[tuple[np.ndarray, np.ndarray]] = []
         mask = 1
         while mask < pof2:
             partner = np.full(n, -1, dtype=int)
-            nd = newrank[active] ^ mask
-            partner[active] = inv[nd]
+            p = inv[newrank[active] ^ mask]
+            partner[active] = p
             self.rounds.append(partner)
+            self._steps.append((pos[p], self._pair_latency(act_ranks, p)))
             mask <<= 1
 
     # ------------------------------------------------------------------
@@ -149,11 +163,8 @@ class AllreduceSeriesModel:
         duty = self.noise.favored_len / self.noise.period
         n_unf = max(1, int(round(n_calls * (1.0 - duty))))
         n_fav = max(1, n_calls - n_unf)
-        self.noise.force_window = "favored"
-        d_fav = self._run_block(n_fav, compute_between_us, t_start)
-        self.noise.force_window = "unfavored"
-        d_unf = self._run_block(n_unf, compute_between_us, t_start)
-        self.noise.force_window = None
+        d_fav = self._run_block(n_fav, compute_between_us, t_start, True)
+        d_unf = self._run_block(n_unf, compute_between_us, t_start, False)
         durations = np.concatenate([d_fav, d_unf])
         # Amortised flip stall: once per period the whole job pays the
         # slowest rank's deferred-daemon backlog plus the flip-noticing
@@ -166,26 +177,26 @@ class AllreduceSeriesModel:
     def _run_block(
         self,
         n_calls: int,
-        compute_between_us: float = 0.0,
-        t_start: float = 0.0,
+        compute_between_us: float,
+        t_start: float,
+        favored: bool = False,
     ) -> np.ndarray:
         n = self.n
         o, r = self.o, self.r
+        net = self.config.network
+        draw = self.noise.draw
+        act, evens, odds = self._act, self._evens, self._odds
         ready = np.full(n, float(t_start))
         durations = np.empty(n_calls)
         # Exposure estimate per round: overheads + a wire hop (the noise
         # rates are far below 1/round, so precision here barely matters).
-        base_round = 2 * o + r + self.config.network.latency_us
-        rem2 = 2 * self.rem
-
+        base_round = 2 * o + r + net.latency_us
         hardware = self.config.mpi.algorithm == "hardware"
-        net = self.config.network
 
         for call in range(n_calls):
             if compute_between_us > 0.0:
                 ready += compute_between_us
-                t_mean = float(ready.mean())
-                ready += self.noise.sample_round(t_mean, compute_between_us)
+                ready += draw(compute_between_us, favored)
             start = ready.copy()
             t0 = float(ready.min())
 
@@ -193,50 +204,35 @@ class AllreduceSeriesModel:
                 # Switch-combined: one deposit per rank, combine after the
                 # slowest, synchronous fan-out.  Laggard sensitivity stays
                 # (the max), the log-depth software cascade is gone.
-                deposit = ready + o + self.noise.sample_round(t0, base_round)
+                deposit = ready + o + draw(base_round, favored)
                 done = (
                     float(deposit.max())
                     + net.latency_us
                     + net.hw_collective_latency_us
                 )
                 ready = np.full(n, done + o)
-                t1 = float(ready.max())
-                cron = self.noise.cron_hits(t0, max(t1, t0 + 1.0))
-                if cron.any():
-                    ready += cron
-                durations[call] = float(np.mean(ready - start))
-                continue
+            else:
+                # ---- fold phase (non-power-of-two) ---------------------
+                if self.rem > 0:
+                    arrive = ready[evens] + o + self._fold_lat
+                    ready[odds] = np.maximum(ready[odds] + o, arrive) + o + r
+                    # Evens idle until the unfold at the end.
 
-            # ---- fold phase (non-power-of-two) -------------------------
-            if self.rem > 0:
-                evens = np.arange(0, rem2, 2)
-                odds = evens + 1
-                lat = self._pair_latency(evens, odds)
-                arrive = ready[evens] + o + lat
-                ready[odds] = np.maximum(ready[odds] + o, arrive) + o + r
-                # Evens idle until the unfold at the end.
+                # ---- recursive doubling --------------------------------
+                for perm, lat in self._steps:
+                    ready += draw(base_round, favored)
+                    x = ready[act] + o  # own send time and own-side term
+                    arrive = x[perm]
+                    arrive += lat
+                    np.maximum(x, arrive, out=x)
+                    x += o
+                    x += r
+                    ready[act] = x
 
-            # ---- recursive doubling ------------------------------------
-            for partner in self.rounds:
-                idx = self.active_mask
-                p = partner[idx]
-                lat = self._pair_latency(np.arange(n)[idx], p)
-                exposure = base_round
-                t_mean = float(ready[idx].mean())
-                noise_d = self.noise.sample_round(t_mean, exposure)
-                ready += noise_d
-                send_t = ready[idx] + o
-                arrive = send_t[self._perm_within_active(p)] + lat
-                ready_idx = np.maximum(ready[idx] + o, arrive) + o + r
-                ready[idx] = ready_idx
-
-            # ---- unfold phase -------------------------------------------
-            if self.rem > 0:
-                evens = np.arange(0, rem2, 2)
-                odds = evens + 1
-                lat = self._pair_latency(odds, evens)
-                arrive = ready[odds] + o + lat
-                ready[evens] = np.maximum(ready[evens] + o, arrive) + o
+                # ---- unfold phase --------------------------------------
+                if self.rem > 0:
+                    arrive = ready[odds] + o + self._unfold_lat
+                    ready[evens] = np.maximum(ready[evens] + o, arrive) + o
 
             # ---- long outliers (cron) -----------------------------------
             t1 = float(ready.max())
@@ -258,13 +254,3 @@ class AllreduceSeriesModel:
             net.shm_latency_us + nbytes * net.per_byte_us,
             net.latency_us + nbytes * net.per_byte_us,
         )
-
-    def _perm_within_active(self, partners_real: np.ndarray) -> np.ndarray:
-        """Map real partner ranks to positions within the active subset."""
-        # active ranks in order; position of rank x among actives:
-        if not hasattr(self, "_active_pos"):
-            pos = np.full(self.n, -1, dtype=int)
-            pos[np.arange(self.n)[self.active_mask]] = np.arange(int(self.active_mask.sum()))
-            self._active_pos = pos
-        return self._active_pos[partners_real]
-

@@ -112,7 +112,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.config import ClusterConfig
-from repro.results import canonical_dumps
 from repro.sim.meanfield import MeanFieldConfig
 from repro.sim.shard import ShardPlan, ShardRouter
 from repro.units import s
@@ -577,6 +576,10 @@ class ParallelRunResult:
 
     @property
     def digest(self) -> str:
+        # Imported here: repro.results registers the experiment result
+        # types at import, and e14_meanfield imports this module.
+        from repro.results import canonical_dumps
+
         return hashlib.sha256(
             canonical_dumps(self.digest_payload()).encode()
         ).hexdigest()
