@@ -103,6 +103,7 @@ def _chaos_shard_trial(params: dict) -> dict:
     import multiprocessing
 
     from repro.chaos.oracles import build_cluster_config, liveness_bound_us
+    from repro.proc import SupervisorConfig
     from repro.sim.parallel import ShardFailureError, run_parallel
 
     workload = ChaosWorkload(**params["workload"])
@@ -157,8 +158,7 @@ def _chaos_shard_trial(params: dict) -> dict:
             cfg,
             shards=shards,
             use_processes=False if daemonic else True,
-            shard_chaos_seed=shard_chaos,
-            respawn_backoff_s=0.01,
+            supervisor=SupervisorConfig(chaos_seed=shard_chaos, backoff_base_s=0.01),
             **kw,
         )
     except ShardFailureError:

@@ -19,8 +19,9 @@ Modes:
   function runs; ``mid`` dies after computing the record but while
   journaling it, leaving a deliberately *torn* shard entry behind — the
   case the journal-merge hardening must survive.
-* ``hang`` — the worker goes silent (no heartbeats) without exiting,
-  the failure only a missed-heartbeat deadline can catch.
+* ``hang`` — the worker SIGSTOPs itself, heartbeat thread included: it
+  goes silent without exiting, the failure only a missed-heartbeat
+  deadline can catch.
 
 ``kills`` is capped at 2 draws so any plan is transient under the
 default ``max_retries=3``: a chaos campaign retries through every
@@ -43,6 +44,7 @@ acceptance loop the CI smoke job drives.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +52,7 @@ from repro.rng import StreamFactory
 
 __all__ = [
     "ENV_VAR",
+    "chaos_seed_from_env",
     "HarnessFault",
     "plan_for",
     "injection_for",
@@ -64,6 +67,19 @@ __all__ = [
 
 #: Environment fallback for the harness-chaos seed (the CLI flag wins).
 ENV_VAR = "REPRO_HARNESS_CHAOS"
+
+
+def chaos_seed_from_env() -> Optional[int]:
+    """The harness-chaos seed from :data:`ENV_VAR`, or ``None`` when unset
+    or blank; a value that is not an integer raises ``ValueError`` naming
+    the variable."""
+    raw = os.environ.get(ENV_VAR, "").strip()
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_VAR}={raw!r} is not an integer seed") from None
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,7 @@ class ShardKillFault:
     #: supersteps until the budget is spent.
     window: int
     #: Number of kills (0 when ``mode`` is ``None``).  Capped at 2 so any
-    #: plan is transient under ``run_parallel``'s default
-    #: ``max_respawns=3``.
+    #: plan is transient under the default ``max_retries=3``.
     kills: int
     #: ``"pre"`` — kill before the window directive is issued to the
     #: shard; ``"mid"`` — kill after every shard has its directive, while

@@ -42,8 +42,7 @@ SIGINT/SIGTERM drain (in-flight trials finish, journal shards merge, no
 orphaned workers; exit code 130 with a resumable journal).
 ``--harness-chaos SEED`` deliberately kills/hangs workers on a
 deterministic schedule to prove all of that: the run must still converge
-to results byte-identical to a clean serial run.  ``--backend pool``
-selects the legacy unsupervised pool for comparison.
+to results byte-identical to a clean serial run.
 """
 
 from __future__ import annotations
@@ -165,12 +164,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sup_group = parser.add_argument_group("supervised backend (--jobs N)")
     sup_group.add_argument(
-        "--backend", choices=("supervised", "pool"), default="supervised",
-        help="parallel backend: 'supervised' (fault-tolerant worker pool "
-             "with heartbeats/retries/quarantine, the default) or 'pool' "
-             "(legacy raw ProcessPoolExecutor)",
-    )
-    sup_group.add_argument(
         "--max-retries", type=int, metavar="N", default=3,
         help="re-dispatches allowed per trial after a worker crash/hang "
              "before the trial is quarantined (default: 3)",
@@ -181,10 +174,8 @@ def main(argv: list[str] | None = None) -> int:
              "re-dispatches: BACKOFF * 2^attempt, capped at 5 s "
              "(default: 0.1)",
     )
-    _env_chaos = os.environ.get("REPRO_HARNESS_CHAOS", "").strip()
     sup_group.add_argument(
-        "--harness-chaos", type=int, metavar="SEED",
-        default=int(_env_chaos) if _env_chaos else None,
+        "--harness-chaos", type=int, metavar="SEED", default=None,
         help="inject deterministic worker kills/hangs drawn from SEED "
              "(env: REPRO_HARNESS_CHAOS); the campaign must still "
              "converge byte-identically to a clean serial run",
@@ -260,16 +251,21 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-retries must be >= 0")
     if args.backoff < 0:
         parser.error("--backoff must be >= 0")
-    if args.harness_chaos is not None and (
-        args.jobs < 2 or args.backend != "supervised"
-    ) and not (
+    if args.harness_chaos is None:
+        from repro.chaos.harness_faults import chaos_seed_from_env
+
+        try:
+            args.harness_chaos = chaos_seed_from_env()
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.harness_chaos is not None and args.jobs < 2 and not (
         args.shards is not None
         and args.shards >= 1
         and any(e in ("chaos", "pdes") for e in args.experiments)
     ):
         parser.error(
-            "--harness-chaos needs --jobs >= 2 on the supervised backend "
-            "(only it can retry killed workers), or --shards with the "
+            "--harness-chaos needs --jobs >= 2 (only supervised workers "
+            "can retry killed trials), or --shards with the "
             "chaos/pdes experiments (where it SIGKILLs shard workers and "
             "the parallel-DES supervisor must recover them)"
         )
@@ -322,11 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         "jobs": args.jobs,
     }
 
-    # Route supervisor policy (backend, retry budget, backoff, harness
-    # chaos) to every campaign's internally-built TrialRunner, and make
+    # Route supervisor policy (retry budget, backoff, harness chaos) to
+    # every campaign's internally-built TrialRunner, and make
     # journal-merge warnings / supervisor summaries visible on stderr.
     from repro.experiments.runner import set_execution_defaults
-    from repro.experiments.supervisor import SupervisorConfig
+    from repro.proc import SupervisorConfig
 
     logging.basicConfig(
         level=logging.INFO, format="[%(name)s] %(message)s", stream=sys.stderr
@@ -338,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         store = ResultStore(args.store)
 
     previous_defaults = set_execution_defaults(
-        backend=args.backend,
         supervisor=SupervisorConfig(
             max_retries=args.max_retries,
             backoff_base_s=args.backoff,
@@ -365,12 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 130
     finally:
-        set_execution_defaults(
-            backend=previous_defaults[0],
-            supervisor=previous_defaults[1],
-            store=previous_defaults[2],
-            use_cache=previous_defaults[3],
-        )
+        set_execution_defaults(*previous_defaults)
 
 
 def _run_selected(wanted, args, qa, harness, csv_out, save_json) -> int:

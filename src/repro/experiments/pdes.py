@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
+from repro.proc import SupervisorConfig
 from repro.results import register_result
 from repro.sim.meanfield import MeanFieldConfig
 from repro.sim.parallel import run_parallel
@@ -103,8 +104,11 @@ def run_pdes(
         horizon_us=s(600),
         meanfield=meanfield,
         use_processes=use_processes,
-        shard_chaos_seed=shard_chaos_seed,
-        respawn_backoff_s=0.01 if shard_chaos_seed is not None else 0.05,
+        supervisor=(
+            SupervisorConfig(chaos_seed=shard_chaos_seed, backoff_base_s=0.01)
+            if shard_chaos_seed is not None
+            else None
+        ),
     )
     wall = time.perf_counter() - t0
     return PdesResult(

@@ -1,22 +1,20 @@
-"""Supervised worker pool: the fault-tolerant execution backend.
+"""Supervised trial workers: the fault-tolerant parallel backend.
 
-The raw ``ProcessPoolExecutor`` path treats its workers as infallible: a
-segfaulted or OOM-killed worker breaks the whole pool
-(``BrokenProcessPool``), a silently wedged worker is only caught if the
-in-worker ``SIGALRM`` still fires, and a *poison* trial — one that kills
-every worker it touches — sinks the campaign.  This module replaces that
-path with the heartbeat/retry/quarantine discipline batch schedulers
-apply to cluster nodes, applied to our own worker fleet:
+A segfaulted or OOM-killed worker, a silently wedged one, or a *poison*
+trial that kills every worker it touches must not sink a campaign.  This
+module applies the heartbeat/retry/quarantine discipline batch
+schedulers apply to cluster nodes to our own worker fleet:
 
-* **Long-lived workers** pull :class:`~repro.experiments.runner.TrialSpec`
-  dispatches over a duplex pipe, journal into per-process shards, and
-  emit heartbeats from a side thread while a trial runs.
-* **The supervisor** (parent) multiplexes every worker pipe and process
-  sentinel through :func:`multiprocessing.connection.wait`.  A dead
-  process is a **crash**; a live-but-silent one (no heartbeat inside
-  ``heartbeat_timeout_s``, or a parent-side deadline when
-  ``trial_timeout_s`` is set) is a **hang** — either way the worker is
-  SIGKILLed, reaped, and replaced.
+* **Long-lived workers** (:class:`repro.proc.Worker`) pull
+  :class:`~repro.experiments.runner.TrialSpec` dispatches over a pipe,
+  run each through :func:`~repro.experiments.runner.run_trial` — the
+  serial path's own routine — journal into per-process shards, and
+  heartbeat from a side thread.
+* **The supervisor** (parent) sleeps on every worker pipe and process
+  sentinel at once.  A dead process is a **crash**; a live-but-silent one
+  (no heartbeat inside ``heartbeat_timeout_s``, or a trial still running
+  ``heartbeat_timeout_s`` past a set ``trial_timeout_s``) is a **hang**
+  — either way the worker is SIGKILLed, reaped, and replaced.
 * **Bounded retry with deterministic backoff**: the interrupted trial is
   re-dispatched after ``backoff_base_s * 2**attempt`` (capped), a pure
   function of the attempt number so retry schedules are identical across
@@ -26,7 +24,7 @@ apply to cluster nodes, applied to our own worker fleet:
   structured ``status: "failed"`` journal entry with taxonomy
   ``quarantined`` and the campaign moves on.
 * **Graceful shutdown**: SIGINT/SIGTERM stops dispatching, drains
-  in-flight trials (bounded by ``drain_timeout_s``; a second signal
+  in-flight trials (bounded by :data:`DRAIN_TIMEOUT_S`; a second signal
   aborts immediately), terminates every worker, merges journal shards,
   and re-raises ``KeyboardInterrupt`` — the journal on disk is resumable
   and no child process survives.
@@ -42,9 +40,9 @@ apply to cluster nodes, applied to our own worker fleet:
 ========== =========================================================
 
 **Determinism contract.**  Trials are pure functions of their specs, and
-in-trial failures are journaled byte-identically to the serial path, so
-a supervised campaign's results and journals are byte-identical to a
-serial run's — *including* campaigns where workers are deliberately
+in-trial failures are journaled by the same routine as on the serial
+path, so a supervised campaign's results and journals are byte-identical
+to a serial run's — *including* campaigns where workers are deliberately
 killed: the harness-chaos mode (:mod:`repro.chaos.harness_faults`,
 ``--harness-chaos SEED``) injects worker kills/hangs as a pure function
 of ``(seed, trial key, attempt)``, every injected kill is transient
@@ -59,81 +57,32 @@ import heapq
 import itertools
 import json
 import logging
-import multiprocessing
-import multiprocessing.connection as _mpc
 import os
 import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.checkpoint.harness import SweepJournal, TrialTimeout, trial_watchdog
-from repro.experiments import runner as _runner
-from repro.experiments.runner import (
-    TrialOutcome,
-    TrialSpec,
-    format_trial_traceback,
-    resolve_trial_fn,
-)
+from repro.checkpoint.harness import SweepJournal
+from repro.experiments.runner import TrialOutcome, TrialSpec, run_trial
+from repro.proc import SupervisorConfig, Worker, WorkerLost, wait
 
-__all__ = ["SupervisorConfig", "SupervisorStats", "Supervisor"]
+__all__ = ["SupervisorStats", "Supervisor"]
 
 _log = logging.getLogger("repro.harness")
-
-#: Trial tracebacks must not vary with which execution path raised them;
-#: this module's frames are harness machinery like the runner's own.
-_runner._HARNESS_FILES = frozenset(_runner._HARNESS_FILES | {__file__})
 
 #: Exit code a chaos-crashed worker dies with (mimics an abrupt kill).
 _CHAOS_EXIT = 139
 
-#: How often the supervisor loop wakes to health-check even when no
+#: How often the supervisor loop wakes to check deadlines even when no
 #: worker message arrives (seconds).
 _POLL_S = 0.05
 
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Policy knobs for the supervised backend.
-
-    ``chaos_seed`` arms harness-chaos injection (worker kills/hangs as a
-    pure function of the seed and each trial key); ``None`` runs clean.
-    """
-
-    #: Re-dispatches allowed per trial after crash/hang; one failure
-    #: beyond this quarantines the spec.
-    max_retries: int = 3
-    #: Base of the deterministic exponential backoff between
-    #: re-dispatches: ``backoff_base_s * 2**attempt``, capped below.
-    backoff_base_s: float = 0.1
-    backoff_cap_s: float = 5.0
-    #: Worker-side heartbeat period while a trial runs.
-    heartbeat_interval_s: float = 0.25
-    #: Missed-heartbeat window after which a busy worker is declared hung.
-    heartbeat_timeout_s: float = 10.0
-    #: How long a signal-triggered drain waits for in-flight trials
-    #: before killing the remaining workers.
-    drain_timeout_s: float = 60.0
-    #: Harness-chaos seed (``--harness-chaos``), or ``None`` for clean.
-    chaos_seed: Optional[int] = None
-    #: Install SIGINT/SIGTERM drain handlers for the duration of a run
-    #: (skipped automatically off the main thread).
-    handle_signals: bool = True
-
-    @staticmethod
-    def from_env() -> "SupervisorConfig":
-        """Defaults, with the chaos seed picked up from the environment
-        (``REPRO_HARNESS_CHAOS``) when set."""
-        from repro.chaos.harness_faults import ENV_VAR
-
-        raw = os.environ.get(ENV_VAR, "").strip()
-        return SupervisorConfig(chaos_seed=int(raw) if raw else None)
-
-    def backoff_s(self, attempt: int) -> float:
-        """Deterministic backoff before re-dispatching attempt+1."""
-        return min(self.backoff_base_s * (2.0 ** attempt), self.backoff_cap_s)
+#: How long a signal-triggered drain waits for in-flight trials before
+#: killing the remaining workers (seconds).
+DRAIN_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -191,14 +140,6 @@ class SupervisorStats:
 # ----------------------------------------------------------------------
 
 
-def _chaos_injection(chaos_seed, key: str, attempt: int):
-    if chaos_seed is None:
-        return None
-    from repro.chaos.harness_faults import injection_for
-
-    return injection_for(chaos_seed, key, attempt)
-
-
 def _write_torn_entry(journal: SweepJournal, key: str, record: dict) -> None:
     """Chaos ``crash/mid``: leave a half-written shard entry behind.
 
@@ -213,120 +154,41 @@ def _write_torn_entry(journal: SweepJournal, key: str, record: dict) -> None:
         os.fsync(fh.fileno())
 
 
-def _worker_main(
-    wid: int,
-    conn,
-    journal_root,
-    trial_timeout_s: Optional[float],
-    heartbeat_interval_s: float,
-    chaos_seed: Optional[int],
+def _serve_trials(
+    recv, send, journal_root, trial_timeout_s: Optional[float], chaos_seed
 ) -> None:
-    """Worker loop: recv dispatch → heartbeat + run trial → send result.
-
-    Top-level so it imports under any multiprocessing start method.
-    SIGINT is ignored — on a terminal Ctrl+C the *parent* coordinates the
-    drain; workers must stay alive to finish (and journal) their trial.
-    """
-    if hasattr(signal, "SIGINT"):
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    """Worker body: run each dispatched ``(spec, attempt)``, reply with
+    its :class:`TrialOutcome`.  Top-level so it imports under any
+    multiprocessing start method."""
     journal = (
         SweepJournal(journal_root, shard=f"w{os.getpid()}")
         if journal_root is not None
         else None
     )
-    send_lock = threading.Lock()
+    while (msg := recv()) is not None:
+        spec, attempt = msg
+        fault = None
+        if chaos_seed is not None:
+            from repro.chaos.harness_faults import injection_for
 
-    def send(msg) -> None:
-        # The heartbeat thread and the main thread share the pipe.
-        with send_lock:
-            try:
-                conn.send(msg)
-            except (BrokenPipeError, OSError):
-                os._exit(0)  # parent is gone; nothing left to report to
-
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg[0] == "exit":
-            break
-        _, spec, attempt = msg
-        send(("start", spec.key, attempt))
-
-        fault = _chaos_injection(chaos_seed, spec.key, attempt)
+            fault = injection_for(chaos_seed, spec.key, attempt)
         if fault is not None and fault[0] == "hang":
-            # Go silent: no heartbeats, no exit.  Only the supervisor's
-            # missed-heartbeat deadline can clear this worker.
-            while True:
-                time.sleep(60.0)
+            # Wedge the whole process, heartbeat thread included: only
+            # the supervisor's silence deadline can clear this worker.
+            os.kill(os.getpid(), signal.SIGSTOP)
         if fault == ("crash", "pre"):
             os._exit(_CHAOS_EXIT)
-
-        stop = threading.Event()
-
-        def beat(key=spec.key):
-            while not stop.wait(heartbeat_interval_s):
-                send(("hb", key))
-
-        hb_thread = threading.Thread(target=beat, daemon=True)
-        hb_thread.start()
-        try:
-            try:
-                with trial_watchdog(trial_timeout_s):
-                    record = resolve_trial_fn(spec.fn)(spec.params)
-            except Exception as exc:
-                # Identical handling to TrialRunner._run_one — in-trial
-                # failures must journal the same bytes on every path.
-                reason = f"{type(exc).__name__}: {exc}"
-                tb = format_trial_traceback(exc)
-                taxonomy = "timeout" if isinstance(exc, TrialTimeout) else "exception"
-                if journal is not None:
-                    journal.record_failure(
-                        spec.key, reason, traceback=tb, taxonomy=taxonomy
-                    )
-                result = ("done", spec.key, None, reason, tb, taxonomy)
-            else:
-                if fault == ("crash", "mid"):
-                    if journal is not None:
-                        _write_torn_entry(journal, spec.key, record)
-                    os._exit(_CHAOS_EXIT)
-                if journal is not None:
-                    journal.record(spec.key, record)
-                result = ("done", spec.key, record, None, None, None)
-        finally:
-            stop.set()
-        hb_thread.join()
-        send(result)
-    conn.close()
+        outcome = run_trial(spec, journal, trial_timeout_s)
+        if fault == ("crash", "mid") and outcome.ok:
+            if journal is not None:
+                _write_torn_entry(journal, spec.key, outcome.record)
+            os._exit(_CHAOS_EXIT)
+        send(outcome)
 
 
 # ----------------------------------------------------------------------
 # Supervisor (parent) side
 # ----------------------------------------------------------------------
-
-
-class _Worker:
-    """Parent-side handle for one worker process."""
-
-    __slots__ = ("wid", "proc", "conn", "busy", "last_hb", "started_at")
-
-    def __init__(self, wid, proc, conn):
-        self.wid = wid
-        self.proc = proc
-        self.conn = conn
-        #: ``(spec, attempt)`` while a trial is dispatched, else None.
-        self.busy = None
-        self.last_hb = 0.0
-        self.started_at = 0.0
-
-
-def _mp_context():
-    """Prefer fork (cheap; test monkeypatching propagates), like the
-    legacy pool path."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 class Supervisor:
@@ -341,33 +203,20 @@ class Supervisor:
     def __init__(
         self,
         jobs: int,
+        config: SupervisorConfig,
         journal: Optional[SweepJournal] = None,
         trial_timeout_s: Optional[float] = None,
-        config: Optional[SupervisorConfig] = None,
-        store=None,
-        fingerprints: Optional[dict] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
+        self.config = config
         self.journal = journal
         self.trial_timeout_s = trial_timeout_s
-        #: Optional :class:`repro.store.ResultStore` plus a key ->
-        #: fingerprint map for this batch's specs: successful trials are
-        #: streamed into the store *as they complete*, so a crash (or
-        #: SIGINT drain) mid-campaign still leaves every finished trial
-        #: durable and cross-run reusable — and a result that disagrees
-        #: with a prior run's record trips the determinism oracle at the
-        #: moment of completion, not hours later at campaign end.
-        self.store = store
-        self.fingerprints = fingerprints or {}
-        self.config = config if config is not None else SupervisorConfig.from_env()
         self.stats = SupervisorStats()
-        self._ctx = _mp_context()
-        self._workers: dict[int, _Worker] = {}
-        self._wid_counter = itertools.count()
+        #: Live workers -> the ``(spec, attempt)`` each is running, or None.
+        self._workers: dict[Worker, Optional[tuple]] = {}
         self._seq = itertools.count()  # heap tiebreaker
         self._queue: deque = deque()
         self._delayed: list = []  # (ready_at, seq, spec, attempt)
-        self._outcomes: dict[str, TrialOutcome] = {}
         self._signals = 0
         self._drain = False
         self._drain_started: Optional[float] = None
@@ -375,8 +224,9 @@ class Supervisor:
 
     # -- public -------------------------------------------------------
 
-    def run(self, specs) -> dict[str, TrialOutcome]:
-        """Execute *specs*; return outcomes keyed by trial key.
+    def run(self, specs, on_done: Callable[[TrialOutcome], None]) -> None:
+        """Execute *specs*, handing each final outcome to *on_done* as it
+        lands (successes, in-trial failures and quarantines alike).
 
         Raises :class:`KeyboardInterrupt` after a clean drain when a
         SIGINT/SIGTERM arrived mid-campaign (journal merged first).
@@ -386,7 +236,7 @@ class Supervisor:
         self._queue.extend((spec, 0) for spec in specs)
         previous_handlers = self._install_signal_handlers()
         try:
-            self._loop()
+            self._loop(on_done)
         finally:
             self._shutdown_workers()
             self._restore_signal_handlers(previous_handlers)
@@ -396,15 +246,11 @@ class Supervisor:
             _log.info("supervisor: %s", self.stats.summary())
         if self._signals:
             raise KeyboardInterrupt
-        return self._outcomes
 
     # -- signals ------------------------------------------------------
 
     def _install_signal_handlers(self):
-        if (
-            not self.config.handle_signals
-            or threading.current_thread() is not threading.main_thread()
-        ):
+        if threading.current_thread() is not threading.main_thread():
             return None
 
         def on_signal(signum, frame):
@@ -425,28 +271,24 @@ class Supervisor:
 
     # -- main loop ----------------------------------------------------
 
-    def _outstanding(self) -> int:
-        busy = sum(1 for w in self._workers.values() if w.busy is not None)
-        return len(self._queue) + len(self._delayed) + busy
-
-    def _loop(self) -> None:
+    def _loop(self, on_done) -> None:
         while True:
             now = time.monotonic()
             if self._drain and self._drain_started is None:
                 self._drain_started = now
             if self._abort or (
                 self._drain_started is not None
-                and now - self._drain_started > self.config.drain_timeout_s
+                and now - self._drain_started > DRAIN_TIMEOUT_S
             ):
                 return  # shutdown path kills whatever is still busy
             self._promote_delayed(now)
             if not self._drain:
-                self._dispatch(now)
-            busy = any(w.busy is not None for w in self._workers.values())
-            if not busy and (self._drain or self._outstanding() == 0):
+                self._dispatch()
+            busy = any(task is not None for task in self._workers.values())
+            if not busy and (self._drain or not (self._queue or self._delayed)):
                 return
-            self._poll(self._wait_timeout(now))
-            self._check_health(time.monotonic())
+            wait(self._workers, self._wait_timeout(now))
+            self._collect(on_done)
 
     def _wait_timeout(self, now: float) -> float:
         timeout = _POLL_S
@@ -459,142 +301,51 @@ class Supervisor:
             _ready_at, _seq, spec, attempt = heapq.heappop(self._delayed)
             self._queue.append((spec, attempt))
 
-    # -- workers ------------------------------------------------------
-
-    def _spawn_worker(self) -> _Worker:
-        wid = next(self._wid_counter)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                wid,
-                child_conn,
-                self.journal.root if self.journal is not None else None,
-                self.trial_timeout_s,
-                self.config.heartbeat_interval_s,
-                self.config.chaos_seed,
-            ),
-            daemon=True,
-            name=f"trial-worker-{wid}",
-        )
-        proc.start()
-        child_conn.close()
-        worker = _Worker(wid, proc, parent_conn)
-        self._workers[wid] = worker
-        self.stats.spawned += 1
-        return worker
-
-    def _remove_worker(self, worker: _Worker, kill: bool = False) -> None:
-        if kill and worker.proc.is_alive():
-            worker.proc.kill()
-        worker.proc.join(timeout=10.0)
-        if worker.proc.is_alive():  # pragma: no cover - last resort
-            worker.proc.terminate()
-            worker.proc.join(timeout=5.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.proc.close()
-        self._workers.pop(worker.wid, None)
-
-    def _dispatch(self, now: float) -> None:
+    def _dispatch(self) -> None:
         while self._queue:
-            worker = next(
-                (w for w in self._workers.values() if w.busy is None), None
-            )
+            worker = next((w for w, t in self._workers.items() if t is None), None)
             if worker is None:
                 if len(self._workers) >= self.jobs:
                     return
-                worker = self._spawn_worker()
-            spec, attempt = self._queue.popleft()
-            worker.busy = (spec, attempt)
-            worker.started_at = worker.last_hb = now
-            try:
-                worker.conn.send(("run", spec, attempt))
-            except (BrokenPipeError, OSError):
-                # Died between trials; re-dispatch elsewhere.
-                worker.busy = None
-                self._queue.appendleft((spec, attempt))
-                self._remove_worker(worker, kill=True)
-
-    # -- event handling -----------------------------------------------
-
-    def _poll(self, timeout: float) -> None:
-        objs = []
-        by_obj = {}
-        for w in self._workers.values():
-            objs.append(w.conn)
-            by_obj[w.conn] = w
-            objs.append(w.proc.sentinel)
-            by_obj[w.proc.sentinel] = w
-        if not objs:
-            time.sleep(timeout)
-            return
-        for obj in _mpc.wait(objs, timeout):
-            worker = by_obj[obj]
-            if obj is worker.conn:
-                self._drain_conn(worker)
-            # Sentinel readiness (process death) is handled by the
-            # health check right after, once the conn is drained.
-
-    def _drain_conn(self, worker: _Worker) -> None:
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                return  # dead worker; the health check reaps it
-            kind = msg[0]
-            if kind in ("hb", "start"):
-                worker.last_hb = time.monotonic()
-            elif kind == "done":
-                _, key, record, error, tb, taxonomy = msg
-                attempt = worker.busy[1] if worker.busy else 0
-                self._outcomes[key] = TrialOutcome(
-                    key,
-                    record,
-                    error=error,
-                    traceback=tb,
-                    taxonomy=taxonomy,
-                    retries=attempt,
+                worker = Worker(
+                    _serve_trials,
+                    (
+                        self.journal.root if self.journal is not None else None,
+                        self.trial_timeout_s,
+                        self.config.chaos_seed,
+                    ),
+                    self.config,
                 )
-                worker.busy = None
-                if record is not None and self.store is not None:
-                    fp = self.fingerprints.get(key)
-                    if fp is not None:
-                        self.store.put(fp, key, record)
+                self.stats.spawned += 1
+            task = self._queue.popleft()
+            try:
+                worker.send(task, budget_s=self.trial_timeout_s)
+            except WorkerLost:
+                # Died between trials; re-dispatch elsewhere.
+                self._queue.appendleft(task)
+                self._workers.pop(worker, None)
+                continue
+            self._workers[worker] = task
 
-    def _check_health(self, now: float) -> None:
-        for worker in list(self._workers.values()):
-            if worker.proc.exitcode is not None:
-                # Crashed (or chaos-killed itself).  Drain first: a
-                # worker that finished its trial and *then* died has a
-                # buffered "done" that must win over the crash verdict.
-                self._drain_conn(worker)
-                interrupted = worker.busy
-                self._remove_worker(worker)
-                if interrupted is not None:
-                    self._on_worker_failure(*interrupted, kind="crash")
+    def _collect(self, on_done) -> None:
+        for worker in list(self._workers):
+            try:
+                outcome = worker.recv(timeout=0)
+            except WorkerLost as lost:
+                task = self._workers.pop(worker)
+                if task is not None:
+                    self._on_worker_failure(*task, lost.kind, on_done)
                 continue
-            if worker.busy is None:
-                continue
-            hung = now - worker.last_hb > self.config.heartbeat_timeout_s
-            if not hung and self.trial_timeout_s:
-                # Backstop for a wedged trial whose SIGALRM never fired
-                # (e.g. stuck in a C extension) but whose heartbeat
-                # thread still beats.
-                deadline = self.trial_timeout_s + self.config.heartbeat_timeout_s
-                hung = now - worker.started_at > deadline
-            if hung:
-                interrupted = worker.busy
-                self._remove_worker(worker, kill=True)
-                self._on_worker_failure(*interrupted, kind="hang")
+            if outcome is not None:
+                outcome.retries = self._workers[worker][1]
+                self._workers[worker] = None
+                on_done(outcome)
 
     # -- retry / quarantine -------------------------------------------
 
-    def _on_worker_failure(self, spec: TrialSpec, attempt: int, kind: str) -> None:
+    def _on_worker_failure(
+        self, spec: TrialSpec, attempt: int, kind: str, on_done
+    ) -> None:
         self.stats.note_fault(spec.key, kind)
         if attempt >= self.config.max_retries:
             reason = (
@@ -605,15 +356,14 @@ class Supervisor:
                 self.journal.record_failure(
                     spec.key, reason, taxonomy="quarantined"
                 )
-            self._outcomes[spec.key] = TrialOutcome(
-                spec.key,
-                None,
-                error=reason,
-                taxonomy="quarantined",
-                retries=attempt,
-            )
             self.stats.quarantined.append(spec.key)
             _log.warning("supervisor: quarantined %s (%s)", spec.key, reason)
+            on_done(
+                TrialOutcome(
+                    spec.key, None, error=reason, taxonomy="quarantined",
+                    retries=attempt,
+                )
+            )
             return
         delay = self.config.backoff_s(attempt)
         self.stats.backoffs.setdefault(spec.key, []).append(delay)
@@ -625,11 +375,6 @@ class Supervisor:
     # -- shutdown -----------------------------------------------------
 
     def _shutdown_workers(self) -> None:
-        for worker in list(self._workers.values()):
-            if worker.busy is None and worker.proc.is_alive():
-                try:
-                    worker.conn.send(("exit",))
-                except (BrokenPipeError, OSError):
-                    pass
-                worker.proc.join(timeout=5.0)
-            self._remove_worker(worker, kill=True)
+        for worker in self._workers:
+            worker.kill()
+        self._workers.clear()

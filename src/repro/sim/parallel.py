@@ -81,16 +81,18 @@ digests.
 
 Worker supervision
 ------------------
-With forked workers, the coordinator is also a supervisor: worker pipes
-are multiplexed with process sentinels and per-``heartbeat_s`` worker
-heartbeats, so a crashed worker (pipe EOF / sentinel) or a stalled one
-(no traffic for ``hang_timeout_s`` — then SIGKILL) is detected at the
-barrier.  Recovery respawns the shard from its spec and **replays** the
-full superstep history (windows + incoming envelopes, which the
-coordinator retains); construction pins RNG draw order, so the replayed
-shard reaches the last completed barrier bit-identically and the current
-window is reissued.  Retries are bounded (``max_respawns``, exponential
-``respawn_backoff_s``); exhausting them raises
+With forked workers the coordinator is also a supervisor.  Each worker
+is a :class:`repro.proc.Worker`: it heartbeats from a side thread, and
+every reply is awaited on the pipe and the process sentinel at once, so
+a crashed worker (pipe EOF, sentinel) or a stalled one (silent past
+``heartbeat_timeout_s``, then SIGKILLed) surfaces at the barrier as
+:class:`~repro.proc.WorkerLost`.  Recovery respawns the shard from its
+spec and **replays** the full superstep history (windows + incoming
+envelopes, which the coordinator retains); construction pins RNG draw
+order, so the replayed shard reaches the last completed barrier
+bit-identically and the current window is reissued.  Retries are
+bounded (``max_retries``, exponential ``backoff_base_s``, both from the
+:class:`~repro.proc.SupervisorConfig`); exhausting them raises
 :class:`ShardFailureError` with structured ``details`` instead of
 hanging.  The ``harness.shard.kill.<shard>`` chaos axis
 (:func:`repro.chaos.harness_faults.shard_kill_plan`) drives exactly this
@@ -102,16 +104,15 @@ from __future__ import annotations
 import hashlib
 import importlib
 import math
-import multiprocessing
 import os
 import signal
-import threading
 import time as _time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.config import ClusterConfig
+from repro.proc import SupervisorConfig, Worker, WorkerLost
 from repro.sim.meanfield import MeanFieldConfig
 from repro.sim.shard import ShardPlan, ShardRouter
 from repro.units import s
@@ -122,20 +123,9 @@ __all__ = [
     "ShardPlan",
     "ShardRouter",
     "ShardSpec",
-    "ShardWorkerDied",
-    "ShardWorkerHung",
     "run_parallel",
     "validate_sharded_config",
 ]
-
-
-class ShardWorkerDied(RuntimeError):
-    """A forked shard worker exited or its pipe broke (recoverable)."""
-
-
-class ShardWorkerHung(RuntimeError):
-    """A forked shard worker went silent past the hang deadline
-    (recoverable; the supervisor SIGKILLs it first)."""
 
 
 class ShardFailureError(RuntimeError):
@@ -350,177 +340,55 @@ class ShardHost:
             "counters": counters,
         }
 
-    def close(self) -> None:
-        """Nothing to release in-process (symmetry with _ProcessHost)."""
-
     def kill(self) -> None:
         """Nothing to kill in-process (symmetry with _ProcessHost)."""
 
 
-def _shard_worker_main(conn, spec: ShardSpec, heartbeat_s: float = 5.0) -> None:
-    """Forked worker: serve the superstep protocol over a duplex pipe.
-
-    A daemon thread sends ``("hb", None)`` every *heartbeat_s* so the
-    supervisor can tell "computing a long window" from "stopped/dead";
-    the lock serializes heartbeats against protocol replies.
-    """
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def _send(obj) -> None:
-        with lock:
-            conn.send(obj)
-
-    def _beat() -> None:
-        while not stop.wait(heartbeat_s):
-            try:
-                _send(("hb", None))
-            except OSError:  # parent gone; main thread will notice too
-                return
-
-    beat = threading.Thread(target=_beat, daemon=True)
-    beat.start()
+def _serve_shard(recv, send, spec: ShardSpec) -> None:
+    """Worker body: serve the superstep protocol of :class:`_ProcessHost`."""
     try:
         host = ShardHost(spec)
-        _send(("ready", host.ready()))
-        while True:
-            msg = conn.recv()
+        send(("ready", host.ready()))
+        while (msg := recv()) is not None:
             if msg[0] == "step":
                 host.step_send(msg[1], msg[2])
-                _send(("state", host.step_recv()))
-            elif msg[0] == "collect":
-                _send(("result", host.collect()))
-            elif msg[0] == "exit":
-                return
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown directive {msg[0]!r}")
+                send(("state", host.step_recv()))
+            else:
+                send(("result", host.collect()))
     except BaseException:
-        try:
-            _send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent died
-            pass
-    finally:
-        stop.set()
-        with lock:
-            conn.close()
+        send(("error", traceback.format_exc()))
 
 
-class _ProcessHost:
-    """Pipe-and-fork wrapper presenting the :class:`ShardHost` protocol.
+class _ProcessHost(Worker):
+    """A forked :class:`ShardHost` behind the same protocol; a lost
+    worker surfaces as :class:`~repro.proc.WorkerLost`."""
 
-    Every receive multiplexes the worker pipe with the process sentinel
-    and enforces the hang deadline, so worker death surfaces as
-    :class:`ShardWorkerDied` and silence as :class:`ShardWorkerHung`
-    (after a SIGKILL) instead of blocking the coordinator forever.
-    """
-
-    def __init__(
-        self,
-        spec: ShardSpec,
-        ctx,
-        heartbeat_s: float = 5.0,
-        hang_timeout_s: Optional[float] = 120.0,
-    ) -> None:
-        self.spec = spec
-        self.hang_timeout_s = hang_timeout_s
-        self.conn, child = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_shard_worker_main, args=(child, spec, heartbeat_s), daemon=True
+    def __init__(self, spec: ShardSpec, config: SupervisorConfig) -> None:
+        super().__init__(
+            _serve_shard, (spec,), config, name=f"shard {spec.shard_id} worker"
         )
-        self.proc.start()
-        child.close()
-        self._ready = self._recv("ready")
+        self._ready = self._reply("ready")
 
-    def _recv(self, expect: str):
-        from multiprocessing import connection as _mpc
-
-        sid = self.spec.shard_id
-        deadline = (
-            _time.monotonic() + self.hang_timeout_s
-            if self.hang_timeout_s is not None
-            else None
-        )
-        while True:
-            timeout = (
-                None if deadline is None else max(0.0, deadline - _time.monotonic())
-            )
-            ready = _mpc.wait([self.conn, self.proc.sentinel], timeout=timeout)
-            if not ready:
-                self.kill()
-                raise ShardWorkerHung(
-                    f"shard {sid} silent for {self.hang_timeout_s}s; killed"
-                )
-            if self.conn in ready:
-                try:
-                    kind, payload = self.conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise ShardWorkerDied(
-                        f"shard {sid} worker pipe closed mid-reply ({exc!r})"
-                    ) from None
-                if kind == "hb":
-                    if deadline is not None:
-                        deadline = _time.monotonic() + self.hang_timeout_s
-                    continue
-                if kind == "error":
-                    raise RuntimeError(f"shard worker failed:\n{payload}")
-                if kind != expect:  # pragma: no cover - protocol bug
-                    raise RuntimeError(f"expected {expect!r} from worker, got {kind!r}")
-                return payload
-            # Sentinel fired with nothing left in the pipe: the worker is
-            # gone without even an error report (SIGKILL, OOM, segfault).
-            self.proc.join(timeout=5)
-            raise ShardWorkerDied(
-                f"shard {sid} worker died (exit code {self.proc.exitcode})"
-            )
+    def _reply(self, expect: str):
+        kind, payload = self.recv()
+        if kind == "error":
+            raise RuntimeError(f"shard worker failed:\n{payload}")
+        if kind != expect:  # pragma: no cover - protocol bug
+            raise RuntimeError(f"expected {expect!r} from worker, got {kind!r}")
+        return payload
 
     def ready(self) -> tuple:
         return self._ready
 
     def step_send(self, horizon: float, incoming: list[tuple]) -> None:
-        try:
-            self.conn.send(("step", horizon, incoming))
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerDied(
-                f"shard {self.spec.shard_id} worker pipe closed on send ({exc!r})"
-            ) from None
+        self.send(("step", horizon, incoming))
 
     def step_recv(self) -> tuple:
-        return self._recv("state")
+        return self._reply("state")
 
     def collect(self) -> dict:
-        try:
-            self.conn.send(("collect", None))
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardWorkerDied(
-                f"shard {self.spec.shard_id} worker pipe closed on send ({exc!r})"
-            ) from None
-        return self._recv("result")
-
-    def close(self) -> None:
-        try:
-            self.conn.send(("exit", None))
-        except (BrokenPipeError, OSError):
-            pass
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        self.proc.join(timeout=30)
-        if self.proc.is_alive():  # pragma: no cover - hung worker
-            self.proc.kill()
-            self.proc.join(timeout=5)
-
-    def kill(self) -> None:
-        """Hard stop: SIGKILL (covers SIGSTOPped workers too) and reap."""
-        try:
-            if self.proc.is_alive():
-                self.proc.kill()
-            self.proc.join(timeout=10)
-        finally:
-            try:
-                self.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        self.send(("collect",))
+        return self._reply("result")
 
 
 @dataclass
@@ -596,11 +464,7 @@ def run_parallel(
     meanfield: Optional[MeanFieldConfig] = None,
     use_processes: Optional[bool] = None,
     job_name: str = "pdes",
-    max_respawns: int = 3,
-    respawn_backoff_s: float = 0.05,
-    hang_timeout_s: Optional[float] = 120.0,
-    heartbeat_s: float = 5.0,
-    shard_chaos_seed: Optional[int] = None,
+    supervisor: Optional[SupervisorConfig] = None,
     _superstep_hook: Optional[Callable[[int, list], None]] = None,
 ) -> ParallelRunResult:
     """Run *app* over *config* with the cluster sharded *shards* ways.
@@ -611,11 +475,12 @@ def run_parallel(
     wall-clock lever, not a correctness one — and what the hypothesis
     equivalence suite uses to keep hundreds of examples cheap).
 
-    With forked workers the coordinator supervises them: crashes and
-    hangs are recovered by respawn + deterministic replay of the
-    superstep history, up to *max_respawns* attempts per incident with
-    exponential *respawn_backoff_s*; exhaustion raises
-    :class:`ShardFailureError`.  *shard_chaos_seed* arms the
+    With forked workers the coordinator supervises them under
+    *supervisor* (default :class:`~repro.proc.SupervisorConfig`):
+    crashes and hangs are recovered by respawn + deterministic replay of
+    the superstep history, up to ``max_retries`` attempts per incident
+    with exponential backoff; exhaustion raises
+    :class:`ShardFailureError`.  Its ``chaos_seed`` arms the
     ``harness.shard.kill.<shard>`` axis, SIGKILLing workers pre/mid
     window per their deterministic plans (forked workers only).
     *_superstep_hook* is test/chaos instrumentation: called as
@@ -646,35 +511,27 @@ def run_parallel(
     if use_processes is None:
         use_processes = shards > 1
 
+    sup = supervisor if supervisor is not None else SupervisorConfig()
     kill_plans: dict = {}
     kills_done: dict = {}
-    if shard_chaos_seed is not None:
+    if sup.chaos_seed is not None:
         if not use_processes:
             raise ValueError(
-                "shard_chaos_seed kills worker processes; it requires "
+                "a chaos_seed kills worker processes; it requires "
                 "use_processes=True (in-process hosts have nothing to kill)"
             )
         from repro.chaos.harness_faults import shard_kill_plan
 
         kill_plans = {
-            sid: shard_kill_plan(shard_chaos_seed, sid) for sid in range(shards)
+            sid: shard_kill_plan(sup.chaos_seed, sid) for sid in range(shards)
         }
         kills_done = {sid: 0 for sid in range(shards)}
 
     wall0 = _time.perf_counter()
-    if use_processes:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX
-            ctx = multiprocessing.get_context("spawn")
-    else:
-        ctx = None
 
     def _spawn(sid: int):
         if use_processes:
-            return _ProcessHost(
-                specs[sid], ctx, heartbeat_s=heartbeat_s, hang_timeout_s=hang_timeout_s
-            )
+            return _ProcessHost(specs[sid], sup)
         return ShardHost(specs[sid])
 
     hosts: list = []
@@ -693,8 +550,8 @@ def run_parallel(
         current window; returns its reply (None in the collect phase)."""
         nonlocal recoveries
         causes = list(causes)
-        for attempt in range(max_respawns):
-            _time.sleep(respawn_backoff_s * (2**attempt))
+        for attempt in range(sup.max_retries):
+            _time.sleep(sup.backoff_s(attempt))
             nh = None
             try:
                 nh = _spawn(sid)
@@ -706,7 +563,7 @@ def run_parallel(
                 else:
                     nh.step_send(window, incoming)
                     reply = nh.step_recv()
-            except (ShardWorkerDied, ShardWorkerHung) as exc:
+            except WorkerLost as exc:
                 causes.append(f"respawn attempt {attempt + 1}: {exc}")
                 if nh is not None:
                     nh.kill()
@@ -716,7 +573,7 @@ def run_parallel(
             return reply
         raise ShardFailureError(
             shard_id=sid,
-            attempts=max_respawns,
+            attempts=sup.max_retries,
             window=window,
             supersteps=len(history),
             causes=causes,
@@ -737,7 +594,6 @@ def run_parallel(
             kills_done[sid] += 1
             os.kill(hosts[sid].proc.pid, signal.SIGKILL)
 
-    ok_exit = False
     lookahead_min: Optional[float] = None
     barrier_wait = 0.0
     try:
@@ -794,7 +650,7 @@ def run_parallel(
                 _maybe_kill(sid, "pre")
                 try:
                     hosts[sid].step_send(window, snapshot[sid])
-                except (ShardWorkerDied, ShardWorkerHung) as exc:
+                except WorkerLost as exc:
                     replies[sid] = _recover(sid, window, snapshot[sid], exc)
                 pending[sid] = []
             for sid in range(shards):
@@ -804,7 +660,7 @@ def run_parallel(
                     wait0 = _time.perf_counter()
                     try:
                         replies[sid] = hosts[sid].step_recv()
-                    except (ShardWorkerDied, ShardWorkerHung) as exc:
+                    except WorkerLost as exc:
                         replies[sid] = _recover(sid, window, snapshot[sid], exc)
                     barrier_wait += _time.perf_counter() - wait0
                 eot, outbox, dn, lf = replies[sid]
@@ -833,7 +689,7 @@ def run_parallel(
         for sid in range(shards):
             try:
                 res = hosts[sid].collect()
-            except (ShardWorkerDied, ShardWorkerHung) as exc:
+            except WorkerLost as exc:
                 _recover(sid, None, None, exc)
                 res = hosts[sid].collect()
             merged_ranks.update(res["app"]["ranks"])
@@ -843,16 +699,9 @@ def run_parallel(
             events[sid] = res["events"]
             for k, v in res.get("counters", {}).items():
                 counters[k] = counters.get(k, 0) + v
-        ok_exit = True
     finally:
         for h in hosts:
-            try:
-                if ok_exit:
-                    h.close()
-                else:
-                    h.kill()
-            except Exception:  # pragma: no cover - cleanup best-effort
-                pass
+            h.kill()
 
     return ParallelRunResult(
         shards=shards,

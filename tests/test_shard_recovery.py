@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos.harness_faults import ShardKillFault, shard_kill_plan
+from repro.proc import SupervisorConfig
 from repro.sim.parallel import ShardFailureError, run_parallel
 
 from tests.test_parallel_des import APP, small_config
@@ -41,9 +42,8 @@ QUICK_PARAMS = dict(
 )
 
 
-def quick_run(**kw):
-    kw.setdefault("use_processes", True)
-    kw.setdefault("respawn_backoff_s", 0.01)
+def quick_run(use_processes=True, _superstep_hook=None, **policy):
+    policy.setdefault("backoff_base_s", 0.01)
     return run_parallel(
         small_config(),
         n_ranks=64,
@@ -51,7 +51,9 @@ def quick_run(**kw):
         app=APP,
         app_params=QUICK_PARAMS,
         shards=2,
-        **kw,
+        use_processes=use_processes,
+        supervisor=SupervisorConfig(**policy),
+        _superstep_hook=_superstep_hook,
     )
 
 
@@ -62,7 +64,7 @@ class TestShardKillPlan:
             for sh in range(4):
                 p = shard_kill_plan(seed, sh)
                 assert p == shard_kill_plan(seed, sh)
-                assert p.kills <= 2  # transient under default max_respawns=3
+                assert p.kills <= 2  # transient under default max_retries=3
                 assert (p.mode is None) == (p.kills == 0)
                 assert 0 <= p.window < 4
                 assert p.point in ("pre", "mid")
@@ -89,7 +91,7 @@ class TestKillRecovery:
     def test_killed_workers_recover_to_clean_digest(self):
         clean = quick_run()
         assert clean.ok and clean.recoveries == 0
-        chaos = quick_run(shard_chaos_seed=CHAOS_SEED)
+        chaos = quick_run(chaos_seed=CHAOS_SEED)
         assert chaos.recoveries == 2  # one kill per shard, per the plan
         assert chaos.digest == clean.digest
         assert chaos.counters == clean.counters
@@ -97,7 +99,7 @@ class TestKillRecovery:
 
     def test_chaos_requires_processes(self):
         with pytest.raises(ValueError, match="use_processes"):
-            quick_run(use_processes=False, shard_chaos_seed=CHAOS_SEED)
+            quick_run(use_processes=False, chaos_seed=CHAOS_SEED)
 
     def test_hung_worker_detected_and_recovered(self):
         """A SIGSTOPped worker sends no heartbeats; the supervisor's hang
@@ -111,8 +113,8 @@ class TestKillRecovery:
                 os.kill(hosts[1].proc.pid, signal.SIGSTOP)
 
         hung = quick_run(
-            heartbeat_s=0.2,
-            hang_timeout_s=2.0,
+            heartbeat_interval_s=0.2,
+            heartbeat_timeout_s=2.0,
             _superstep_hook=stall_shard_one,
         )
         assert stopped, "the hook never fired"
@@ -121,10 +123,10 @@ class TestKillRecovery:
         assert multiprocessing.active_children() == []
 
     def test_exhausted_retries_fail_structurally(self):
-        """max_respawns=0 turns the first kill into a terminal, *journaled*
+        """max_retries=0 turns the first kill into a terminal, *journaled*
         failure — a post-mortem, not a hang — and still leaks nothing."""
         with pytest.raises(ShardFailureError) as exc_info:
-            quick_run(shard_chaos_seed=CHAOS_SEED, max_respawns=0)
+            quick_run(chaos_seed=CHAOS_SEED, max_retries=0)
         details = exc_info.value.details
         assert details["shard_id"] in (0, 1)
         assert details["attempts"] == 0

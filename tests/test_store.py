@@ -360,6 +360,14 @@ class TestRunnerStoreIntegration:
                     for fp in pool_store.fingerprints()}
         assert serial and serial == parallel
 
+    def test_cold_supervised_run_puts_each_trial_once(self, tmp_path):
+        """Each executed trial reaches the store through one put: a cold
+        supervised run writes every record and byte-compares none."""
+        store = ResultStore(tmp_path / "store")
+        TrialRunner(jobs=2, store=store).run([_spec(f"t{i}", i) for i in range(4)])
+        assert store.puts == 4
+        assert store.identical == 0
+
     def test_execution_defaults_route_the_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         previous = set_execution_defaults(store=store, use_cache=True)
@@ -368,8 +376,7 @@ class TestRunnerStoreIntegration:
             assert store.puts == 1
         finally:
             set_execution_defaults(
-                backend=previous[0], supervisor=previous[1],
-                store=previous[2], use_cache=previous[3],
+                supervisor=previous[0], store=previous[1], use_cache=previous[2],
             )
 
 

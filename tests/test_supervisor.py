@@ -25,7 +25,7 @@ from repro.chaos.harness_faults import injection_for, plan_for
 from repro.checkpoint.harness import SweepJournal
 from repro.experiments.common import PROTO16, allreduce_sweep
 from repro.experiments.runner import TrialRunner, TrialSpec
-from repro.experiments.supervisor import SupervisorConfig
+from repro.proc import SupervisorConfig
 from repro.results import save_result
 from tests.test_runner import _journal_files
 
@@ -63,6 +63,14 @@ def _poison_trial(params):
 def _slow_trial(params):
     time.sleep(params["sleep_s"])
     return {"i": params["i"]}
+
+
+def _deaf_trial(params):
+    """Ignores the SIGALRM watchdog and sleeps: its worker keeps beating,
+    so only the parent-side trial deadline can end it."""
+    signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    time.sleep(60.0)
+    return {}
 
 
 def _specs(n, fn="tests.test_supervisor:_double_trial"):
@@ -147,6 +155,32 @@ class TestQuarantine:
         assert outs["poison"].taxonomy == "quarantined"
         assert outs["poison"].retries == 0
         assert runner.stats.canonical()["backoffs"] == {}  # never re-dispatched
+
+
+class TestTrialDeadline:
+    @fork_only
+    def test_beating_worker_past_trial_deadline_is_killed(self):
+        """A trial that outlives trial_timeout_s plus the heartbeat grace
+        counts as a worker hang even though the heartbeat never stops."""
+        runner = TrialRunner(
+            jobs=2, trial_timeout_s=0.3, supervisor=fast_config(max_retries=0)
+        )
+        t0 = time.monotonic()
+        outs = {
+            o.key: o
+            for o in runner.run(
+                [
+                    TrialSpec("deaf", "tests.test_supervisor:_deaf_trial", {}),
+                    TrialSpec("ok", "tests.test_supervisor:_double_trial", {"x": 5}),
+                ]
+            )
+        }
+        assert time.monotonic() - t0 < 5.0
+        assert outs["ok"].record == {"twice": 10}
+        assert outs["deaf"].taxonomy == "quarantined"
+        assert "worker hang" in outs["deaf"].error
+        assert runner.stats.canonical()["fault_counts"] == {"hang": 1}
+        assert multiprocessing.active_children() == []
 
 
 class TestHarnessChaosDeterminism:
@@ -242,7 +276,7 @@ sys.path.insert(0, {src!r})
 sys.path.insert(0, {root!r})
 from repro.checkpoint.harness import SweepJournal
 from repro.experiments.runner import TrialRunner, TrialSpec
-from repro.experiments.supervisor import SupervisorConfig
+from repro.proc import SupervisorConfig
 
 specs = [
     TrialSpec(f"t{{i:02d}}", "tests.test_supervisor:_slow_trial",
@@ -377,11 +411,16 @@ class TestCliValidation:
         with pytest.raises(SystemExit):
             cli.main(["fig3", "--quick", "--harness-chaos", "7"])
         assert "--harness-chaos needs --jobs >= 2" in capsys.readouterr().err
+
+    def test_malformed_chaos_env_names_the_variable(self, capsys, monkeypatch):
+        from repro.experiments import cli
+
+        monkeypatch.setenv("REPRO_HARNESS_CHAOS", "abc")
         with pytest.raises(SystemExit):
-            cli.main(
-                ["fig3", "--quick", "--jobs", "2", "--backend", "pool",
-                 "--harness-chaos", "7"]
-            )
+            cli.main(["fig3", "--quick"])
+        assert "REPRO_HARNESS_CHAOS='abc'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="REPRO_HARNESS_CHAOS"):
+            SupervisorConfig.from_env()
 
     def test_retry_knobs_validated(self, capsys):
         from repro.experiments import cli
