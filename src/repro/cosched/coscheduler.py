@@ -34,6 +34,9 @@ from repro.units import SEC
 
 __all__ = ["NodeCoscheduler", "JobCoscheduler"]
 
+#: Hoisted: every window flip tests each task against it.
+_FINISHED = ThreadState.FINISHED
+
 #: Default one-way latency of the task → pmd → co-scheduler pipe hop.
 #: The live knob is ``CoschedConfig.pipe_latency_us`` (same default); this
 #: module constant remains as the canonical number for tests and docs.
@@ -167,7 +170,7 @@ class NodeCoscheduler:
             and self.window == "favored"
             and task in self.tasks
             and task.tid not in self.detached
-            and task.state is not ThreadState.FINISHED
+            and task.state is not _FINISHED
         ):
             self.node.scheduler.set_priority(task, self._priority_for(task, "favored"))
 
@@ -180,7 +183,7 @@ class NodeCoscheduler:
                     self.tasks.append(task)
             elif kind == "detach":
                 self.detached.add(task.tid)
-                if task.state is not ThreadState.FINISHED:
+                if task.state is not _FINISHED:
                     self.node.scheduler.set_priority(task, PRIO_NORMAL)
             elif kind == "attach":
                 self.detached.discard(task.tid)
@@ -196,7 +199,7 @@ class NodeCoscheduler:
     def _set_all(self, window: str) -> None:
         self.window = window
         for task in self.tasks:
-            if task.tid in self.detached or task.state is ThreadState.FINISHED:
+            if task.tid in self.detached or task.state is _FINISHED:
                 continue
             self.node.scheduler.set_priority(task, self._priority_for(task, window))
 
@@ -260,7 +263,7 @@ class NodeCoscheduler:
         # co-scheduler knows that the processes have gone away, and exits").
         self.window = "idle"
         for task in self.tasks:
-            if task.tid not in self.detached and task.state is not ThreadState.FINISHED:
+            if task.tid not in self.detached and task.state is not _FINISHED:
                 self.node.scheduler.set_priority(task, PRIO_NORMAL)
 
 
@@ -391,7 +394,7 @@ class JobCoscheduler:
         """
         old = self.node_coscheds[node_id]
         node = self.cluster.nodes[node_id]
-        if old.thread.state is not ThreadState.FINISHED:
+        if old.thread.state is not _FINISHED:
             node.scheduler.kill(old.thread)
         nc = NodeCoscheduler(self.cluster, node, self.config, self.job.name)
         nc.sync_check = old.sync_check
@@ -403,6 +406,6 @@ class JobCoscheduler:
         if self.job.done:
             nc.job_finished()
         for task in self.node_tasks(node_id):
-            if task.state is not ThreadState.FINISHED:
+            if task.state is not _FINISHED:
                 self._pipe_send(nc, nc.pipe_register, task)
         return nc

@@ -21,6 +21,7 @@ slightly slower, maximally overlapped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,25 +65,34 @@ def _daemon_body(
     per-activation stream order, so activation instants, service samples,
     and the total counter are unchanged for any ``batch``; only the
     interleaving with rank work coarsens — the accuracy cost E14
-    measures.  ``batch=1`` takes the historical loop verbatim and is
+    measures.  ``batch=1`` takes the single-activation loop and is
     bit-identical to the exact engine.
+
+    The jitter draw ``2 * rng.random() - 1`` is numpy's ``uniform(-1, 1)``
+    (``-1 + 2 * next_double``) at a quarter of its scalar-call cost; same
+    value, same single draw (``tests/test_daemons.py`` pins the identity).
     """
     next_t = first_activation_global
     if batch <= 1:
-        while horizon_us is None or next_t < horizon_us:
+        # The spec is frozen: read it once, not on every activation.  The
+        # draws (service, pagefault, jitter) keep their stream order.
+        sample, pf_prob, pf_cost = spec.service.sample, spec.pagefault_prob, spec.pagefault_cost_us
+        jitter, period, scale = spec.jitter, spec.period_us, 1.0 + penalty
+        rand = rng.random
+        until = horizon_us if horizon_us is not None else math.inf
+        while next_t < until:
             yield SleepUntil(next_t)
-            service = spec.service.sample(rng)
-            if spec.pagefault_prob > 0.0 and rng.random() < spec.pagefault_prob:
-                service += spec.pagefault_cost_us
+            service = sample(rng)
+            if pf_prob > 0.0 and rand() < pf_prob:
+                service += pf_cost
             if penalty > 0.0:
-                service *= 1.0 + penalty
+                service *= scale
             counter[0] += 1
             yield Compute(service)
-            if spec.jitter > 0.0:
-                step = spec.period_us * (1.0 + spec.jitter * float(rng.uniform(-1.0, 1.0)))
+            if jitter > 0.0:
+                next_t += period * (1.0 + jitter * (2.0 * rand() - 1.0))
             else:
-                step = spec.period_us
-            next_t += step
+                next_t += period
         return
     while horizon_us is None or next_t < horizon_us:
         times = []
@@ -97,7 +107,7 @@ def _daemon_body(
                 service *= 1.0 + penalty
             total += service
             if spec.jitter > 0.0:
-                step = spec.period_us * (1.0 + spec.jitter * float(rng.uniform(-1.0, 1.0)))
+                step = spec.period_us * (1.0 + spec.jitter * (2.0 * rng.random() - 1.0))
             else:
                 step = spec.period_us
             t += step

@@ -52,7 +52,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.kernel.thread import Thread, ThreadState
-from repro.sim.core import EventPriority
 
 __all__ = [
     "SchedPolicy",
@@ -67,7 +66,8 @@ __all__ = [
     "make_policy",
 ]
 
-_PRIO_INTERRUPT = EventPriority.INTERRUPT
+#: Hoisted: ``place`` tests readiness after every dispatch attempt.
+_READY = ThreadState.READY
 
 _REGISTRY: dict[str, type] = {}
 
@@ -191,8 +191,10 @@ class SchedPolicy:
         """Steal the best migratable thread from a sibling local queue."""
         sched = self.sched
         best_q, best_p = None, None
-        for i, q in enumerate(sched.local_queues):
-            if i == cpu_idx or not q:
+        own = sched.local_queues[cpu_idx]
+        for q in sched.local_queues:
+            # ``_live`` directly: ``bool(q)`` is a Python-level call per queue.
+            if not q._live or q is own:
                 continue
             p = q.best_stealable_priority()
             if p is not None and (best_p is None or p < best_p):
@@ -229,7 +231,7 @@ class SchedPolicy:
         bit-identical by the golden digests.)
         """
         sched = self.sched
-        while thread.state is ThreadState.READY:
+        while thread.state is _READY:
             idle = sched._find_idle_cpu()
             if idle is None:
                 return False
@@ -277,7 +279,7 @@ class AixPolicy(SchedPolicy):
             idle = sched._find_idle_cpu()
             if idle is not None:
                 sched._dispatch(idle)
-                if thread.state is not ThreadState.READY:
+                if thread.state is not _READY:
                     return
             # Preempt the CPU running the worst-priority occupant.
             worst_cpu, worst_prio = None, -1
@@ -293,15 +295,15 @@ class AixPolicy(SchedPolicy):
             return
 
         home = thread.affinity_cpu
-        if sched.cpus[home].idle:
+        if sched.cpus[home].thread is None:
             sched._dispatch(home)
-            if thread.state is not ThreadState.READY:
+            if thread.state is not _READY:
                 return
         if thread.allow_steal and sched.config.steal_enabled:
             idle = sched._find_idle_cpu()
             if idle is not None:
                 sched._dispatch(idle)
-                if thread.state is not ThreadState.READY:
+                if thread.state is not _READY:
                     return
         running = sched.cpus[home].thread
         if running is None:
@@ -373,7 +375,7 @@ class _RotatingPolicy(SchedPolicy):
         home = thread.affinity_cpu
         if not glob and sched.cpus[home].idle:
             sched._dispatch(home)
-            if thread.state is not ThreadState.READY:
+            if thread.state is not _READY:
                 return
         if glob or (thread.allow_steal and sched.config.steal_enabled):
             if self._fill_idle(thread):
@@ -597,7 +599,7 @@ class FairPolicy(SchedPolicy):
         home = thread.affinity_cpu
         if not glob and sched.cpus[home].idle:
             sched._dispatch(home)
-            if thread.state is not ThreadState.READY:
+            if thread.state is not _READY:
                 return
         if glob or (thread.allow_steal and sched.config.steal_enabled):
             if self._fill_idle(thread):

@@ -97,8 +97,13 @@ class RunQueue:
 
     def best_priority(self) -> Optional[int]:
         """Key of the head thread (priority under the default order), or None."""
-        self._prune()
-        return self._heap[0].priority if self._heap else None
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head.live:
+                return head.priority
+            heapq.heappop(heap)
+        return None
 
     def head_rank(self) -> Optional[tuple]:
         """``(key, seq)`` rank of the head thread, or None when empty.

@@ -64,11 +64,14 @@ from repro.sim.core import EventPriority, Simulator
 
 __all__ = ["CpuState", "NodeScheduler"]
 
-#: Hoisted enum members: the dispatcher schedules kernel-priority events on
-#: every completion/wakeup, and repeated ``EventPriority.KERNEL`` attribute
-#: walks show up at profile scale.
-_PRIO_KERNEL = EventPriority.KERNEL
-_PRIO_INTERRUPT = EventPriority.INTERRUPT
+#: Hoisted enum members: an ``Enum`` attribute lookup costs an order of
+#: magnitude more than a module global, and the dispatcher tests thread
+#: states and schedules kernel-priority events on every completion and
+#: wakeup.  Priorities are plain ints, which ``schedule_at`` stores as is.
+_NEW, _READY, _RUNNING = ThreadState.NEW, ThreadState.READY, ThreadState.RUNNING
+_BLOCKED, _SLEEPING, _FINISHED = ThreadState.BLOCKED, ThreadState.SLEEPING, ThreadState.FINISHED
+_PRIO_KERNEL = int(EventPriority.KERNEL)
+_PRIO_INTERRUPT = int(EventPriority.INTERRUPT)
 
 
 class CpuState:
@@ -205,13 +208,13 @@ class NodeScheduler:
 
     def start(self, thread: Thread) -> None:
         """Begin executing a thread spawned with ``start=False``."""
-        if thread.state is not ThreadState.NEW:
+        if thread.state is not _NEW:
             raise RuntimeError(f"start() on {thread!r} in state {thread.state}")
         self._advance(thread, None)
 
     def wake(self, thread: Thread, value: Any = None) -> None:
         """Complete a Block/Sleep: advance the thread to its next request."""
-        if thread.state not in (ThreadState.BLOCKED, ThreadState.SLEEPING):
+        if thread.state not in (_BLOCKED, _SLEEPING):
             raise RuntimeError(f"wake() on {thread!r} in state {thread.state}")
         if thread.wake_ev is not None:
             thread.wake_ev.cancel()
@@ -223,7 +226,7 @@ class NodeScheduler:
         if thread.spinning is None:
             raise RuntimeError(f"spin_deliver() on non-spinning {thread!r}")
         thread.spinning = None
-        if thread.state is ThreadState.RUNNING:
+        if thread.state is _RUNNING:
             # Account the spin occupancy before the thread moves on.  The
             # segment starts at run_start (set when the spin began or the
             # thread was re-dispatched), NOT cpu.run_began: the occupancy
@@ -231,7 +234,7 @@ class NodeScheduler:
             # _on_complete already credited.
             thread.stats.cpu_time_us += self.sim.now - thread.run_start
             self._advance(thread, value)
-        elif thread.state is ThreadState.READY:
+        elif thread.state is _READY:
             # Preempted mid-spin; resume the generator at next dispatch.
             thread.spin_value = value
             thread.resume_advance = True
@@ -255,13 +258,13 @@ class NodeScheduler:
         if thread.on_priority_change is not None:
             thread.on_priority_change(thread, old, priority)
 
-        if thread.state is ThreadState.READY:
+        if thread.state is _READY:
             q = self._queue_for(thread)
             q.remove(thread)
             q.push(thread)
             if priority < old:
                 self._consider_placement(thread)
-        elif thread.state is ThreadState.RUNNING:
+        elif thread.state is _RUNNING:
             if priority > old:
                 # Reverse preemption: does a waiter now beat us?
                 cpu_idx = thread.cpu
@@ -283,11 +286,11 @@ class NodeScheduler:
         and — unlike :meth:`_finish` — ``on_finish`` is *not* invoked: nobody
         is notified, which is exactly why the co-scheduler watchdog exists.
         """
-        if thread.state is ThreadState.FINISHED:
+        if thread.state is _FINISHED:
             return
-        if thread.state is ThreadState.RUNNING:
+        if thread.state is _RUNNING:
             self._off_cpu_and_dispatch(thread, voluntary=False)
-        elif thread.state is ThreadState.READY:
+        elif thread.state is _READY:
             self._queue_for(thread).remove(thread)
         if thread.wake_ev is not None:
             thread.wake_ev.cancel()
@@ -298,7 +301,7 @@ class NodeScheduler:
         thread.spinning = None
         thread.resume_advance = False
         thread.spin_value = None
-        thread.state = ThreadState.FINISHED
+        thread.state = _FINISHED
         thread.gen = None
 
     def snapshot_state(self, desc) -> dict:
@@ -363,7 +366,7 @@ class NodeScheduler:
                 if req.duration_us <= 0:
                     continue
                 thread.work_remaining = req.duration_us
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     self._schedule_completion(thread)
                 else:
                     self._make_ready(thread)
@@ -376,18 +379,18 @@ class NodeScheduler:
                     wake_t = max(sim.now, req.time_us)
                 if thread.tick_quantized:
                     wake_t = self.ticks.quantize_wake(thread.affinity_cpu, wake_t)
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     self._off_cpu_and_dispatch(thread, voluntary=True)
-                thread.state = ThreadState.SLEEPING
+                thread.state = _SLEEPING
                 thread.wake_ev = sim.schedule_at(
                     wake_t, self._timer_wake, thread, priority=_PRIO_KERNEL
                 )
                 return
 
             if cls is Block:
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     self._off_cpu_and_dispatch(thread, voluntary=True)
-                thread.state = ThreadState.BLOCKED
+                thread.state = _BLOCKED
                 return
 
             if cls is SpinWait:
@@ -396,7 +399,7 @@ class NodeScheduler:
                     value = res  # event already occurred; no spin needed
                     continue
                 thread.spinning = req
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     # Occupy the CPU open-endedly; no completion event.
                     thread.run_start = self.sim.now
                     thread.run_work = 0.0
@@ -406,7 +409,7 @@ class NodeScheduler:
 
             if cls is SetPriority:
                 self.set_priority(thread, req.priority, self_call=True)
-                if thread.state is not ThreadState.RUNNING:
+                if thread.state is not _RUNNING:
                     # set_priority preempted us (reverse preemption at the
                     # syscall boundary); the generator resumes at dispatch.
                     thread.resume_advance = True
@@ -414,7 +417,7 @@ class NodeScheduler:
                 continue
 
             if cls is YieldCpu:
-                if thread.state is ThreadState.RUNNING:
+                if thread.state is _RUNNING:
                     thread.resume_advance = True
                     self._off_cpu_and_dispatch(thread, voluntary=True)
                     self._make_ready(thread)
@@ -424,19 +427,19 @@ class NodeScheduler:
             raise TypeError(f"unknown syscall request {req!r} from {thread!r}")
 
     def _finish(self, thread: Thread) -> None:
-        if thread.state is ThreadState.RUNNING:
+        if thread.state is _RUNNING:
             self._off_cpu_and_dispatch(thread, voluntary=True)
         if thread.wake_ev is not None:
             thread.wake_ev.cancel()
             thread.wake_ev = None
-        thread.state = ThreadState.FINISHED
+        thread.state = _FINISHED
         thread.gen = None
         if thread.on_finish is not None:
             thread.on_finish(thread)
 
     def _timer_wake(self, thread: Thread) -> None:
         thread.wake_ev = None
-        if thread.state is ThreadState.SLEEPING:
+        if thread.state is _SLEEPING:
             self._advance(thread, None)
 
     # ==================================================================
@@ -446,7 +449,7 @@ class NodeScheduler:
     # active policy's queue_for / place / pick in __init__.
 
     def _make_ready(self, thread: Thread) -> None:
-        thread.state = ThreadState.READY
+        thread.state = _READY
         thread.stats.last_ready_at = self.sim.now
         self._queue_for(thread).push(thread)
         self._consider_placement(thread)
@@ -471,22 +474,21 @@ class NodeScheduler:
 
     def _place(self, cpu: CpuState, thread: Thread) -> None:
         now = self.sim.now
-        thread.state = ThreadState.RUNNING
+        config = self.config
+        thread.state = _RUNNING
         thread.cpu = cpu.index
         cpu.thread = thread
         cpu.run_began = now
         cpu.last_switch = now
-        thread.stats.dispatches += 1
-        thread.stats.ready_wait_us += now - thread.stats.last_ready_at
-        thread.cs_due = self.config.context_switch_us
-        if (
-            self.config.cache_refill_us > 0.0
-            and cpu.last_tid is not None
-            and cpu.last_tid != thread.tid
-        ):
+        stats = thread.stats
+        stats.dispatches += 1
+        stats.ready_wait_us += now - stats.last_ready_at
+        thread.cs_due = config.context_switch_us
+        tid = thread.tid
+        if config.cache_refill_us > 0.0 and cpu.last_tid is not None and cpu.last_tid != tid:
             # Someone else's working set evicted ours: pay the refill.
-            thread.cs_due += self.config.cache_refill_us
-        cpu.last_tid = thread.tid
+            thread.cs_due += config.cache_refill_us
+        cpu.last_tid = tid
 
         if thread.resume_advance:
             # Generator continuation (YieldCpu done, or spin satisfied while
@@ -508,7 +510,7 @@ class NodeScheduler:
         # Only fire while the thread still holds a CPU *and* the
         # continuation is still pending; otherwise the flag survives and the
         # next _place schedules a fresh resume.
-        if thread.state is ThreadState.RUNNING and thread.resume_advance:
+        if thread.state is _RUNNING and thread.resume_advance:
             thread.resume_advance = False
             value, thread.spin_value = thread.spin_value, None
             self._advance(thread, value)

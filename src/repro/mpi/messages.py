@@ -26,6 +26,11 @@ class Message:
     payload: Any
     nbytes: int
 
+    def __init__(self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int) -> None:
+        # One dict update instead of the frozen __init__'s five guarded
+        # setattr calls: a run builds one Message per point-to-point send.
+        self.__dict__.update(src=src, dst=dst, tag=tag, payload=payload, nbytes=nbytes)
+
     @property
     def key(self) -> tuple:
         return (self.dst, self.src, self.tag)

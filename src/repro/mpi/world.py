@@ -36,6 +36,11 @@ from repro.units import s
 
 __all__ = ["MpiWorld", "MpiApi", "MpiJob"]
 
+#: Hoisted enum members (module globals are far cheaper than Enum lookups).
+_NEW, _READY, _RUNNING = ThreadState.NEW, ThreadState.READY, ThreadState.RUNNING
+_BLOCKED, _FINISHED = ThreadState.BLOCKED, ThreadState.FINISHED
+_PRIO_MESSAGE = int(EventPriority.MESSAGE)
+
 
 class MpiWorld:
     """Delivery fabric + mailboxes for one parallel job."""
@@ -44,6 +49,12 @@ class MpiWorld:
         self.cluster = cluster
         self.placement = placement
         self.config = config
+        #: Constant-cost requests, built once per world: requests are
+        #: frozen, so every send, receive and combine can share them.
+        self._overhead = Compute(cluster.config.network.overhead_us)
+        self._reduce_cost = Compute(config.reduce_op_us)
+        #: Rank -> node table (one list index per send, not two calls).
+        self._node_of = [placement.node_of(r) for r in range(placement.n_ranks)]
         self._mail: dict[tuple, deque] = {}
         self._spin_waiters: dict[tuple, Thread] = {}
         self._block_waiters: dict[tuple, Thread] = {}
@@ -95,10 +106,10 @@ class MpiWorld:
         self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int
     ) -> Generator:
         """Eager send: CPU overhead on the sender, then fire-and-forget."""
-        yield Compute(self.cluster.config.network.overhead_us)
+        yield self._overhead
         msg = Message(src, dst, tag, payload, nbytes)
-        src_node = self.placement.node_of(src)
-        dst_node = self.placement.node_of(dst)
+        src_node = self._node_of[src]
+        dst_node = self._node_of[dst]
         router = self.cluster.router
         if self.reliability is not None:
             # The transport owns cross-shard routing for its own data and
@@ -121,7 +132,7 @@ class MpiWorld:
         key = (dst, src, tag)
         q = self._mail.get(key)
         if q:
-            msg = q.popleft()
+            msg = self._take(key, q)
         elif self.config.wait_mode == "poll":
             msg = yield SpinWait(self._make_spin_register(key))
         else:
@@ -130,12 +141,12 @@ class MpiWorld:
             # The blocking path pays for the syscall + adapter interrupt +
             # scheduler wakeup that polling avoids.
             yield Compute(self.config.block_wakeup_cost_us)
-        yield Compute(self.cluster.config.network.overhead_us)
+        yield self._overhead
         return msg
 
     def reduce_local(self, op: Callable, a: Any, b: Any, nbytes: int) -> Generator:
         """Combine two contributions, charging reduction CPU time."""
-        yield Compute(self.config.reduce_op_us)
+        yield self._reduce_cost
         return op(a, b)
 
     # ------------------------------------------------------------------
@@ -161,7 +172,7 @@ class MpiWorld:
             state = {"count": 0, "acc": None, "op": op, "size": size}
             self._hw_ops[opid] = state
 
-        yield Compute(net.overhead_us)
+        yield self._overhead
         self.cluster.sim.schedule(half_hop, self._hw_deposit, opid)
         # Contribution value folds immediately (the switch does the
         # arithmetic; order is fixed by rank for reproducibility).
@@ -184,14 +195,14 @@ class MpiWorld:
                 done,
                 self._on_arrive,
                 Message(-1, r, ("hw", opid), result, 8),
-                priority=EventPriority.MESSAGE,
+                priority=_PRIO_MESSAGE,
             )
 
     def _make_spin_register(self, key: tuple):
         def register(thread: Thread) -> Optional[Message]:
             q = self._mail.get(key)
             if q:
-                return q.popleft()
+                return self._take(key, q)
             if key in self._spin_waiters:
                 raise RuntimeError(f"second spinner for {key}")
             self._spin_waiters[key] = thread
@@ -205,11 +216,10 @@ class MpiWorld:
         key = msg.key
         spinner = self._spin_waiters.pop(key, None)
         if spinner is not None:
-            node = self.cluster.nodes[spinner.node_id]
-            node.scheduler.spin_deliver(spinner, msg)
+            self.cluster.nodes[spinner.node_id].scheduler.spin_deliver(spinner, msg)
             return
         blocker = self._block_waiters.pop(key, None)
-        if blocker is not None and blocker.state is ThreadState.BLOCKED:
+        if blocker is not None and blocker.state is _BLOCKED:
             node = self.cluster.nodes[blocker.node_id]
             node.scheduler.wake(blocker, msg)
             return
@@ -218,6 +228,16 @@ class MpiWorld:
             # this timestamp; requeue and let the mailbox satisfy it.
             self._block_waiters[key] = blocker
         self._mail.setdefault(key, deque()).append(msg)
+
+    def _take(self, key: tuple, q: deque) -> Message:
+        """Pop the oldest mailbox message for *key*; drop the key once its
+        queue is empty.  Collective tags carry an operation id, so a key is
+        almost never reused: keeping empty queues grew the mailbox by one
+        entry per early arrival (half the resident memory of a long run)."""
+        msg = q.popleft()
+        if not q:
+            del self._mail[key]
+        return msg
 
     def pending_messages(self) -> int:
         """Messages delivered but not yet received (test/debug aid)."""
@@ -518,7 +538,7 @@ class MpiJob:
     @staticmethod
     def _make_mirror(scheduler, timer: Thread):
         def mirror(_task: Thread, _old: int, new: int) -> None:
-            if timer.state is not ThreadState.FINISHED:
+            if timer.state is not _FINISHED:
                 scheduler.set_priority(timer, new)
 
         return mirror
@@ -595,23 +615,23 @@ class MpiJob:
         mpi_waiters = None
         for t in self.tasks:
             state = t.state
-            if state is ThreadState.FINISHED:
+            if state is _FINISHED:
                 continue
-            if state is ThreadState.NEW or t.resume_advance:
+            if state is _NEW or t.resume_advance:
                 bound = next_event
-            elif t.spinning is not None or state is ThreadState.BLOCKED:
+            elif t.spinning is not None or state is _BLOCKED:
                 if mpi_waiters is None:
                     mpi_waiters = {*world._spin_waiters.values()}
                     mpi_waiters.update(world._block_waiters.values())
                 if t in mpi_waiters:
                     continue  # released only by an arrival, counted above
                 bound = next_event
-            elif state is ThreadState.RUNNING:
+            elif state is _RUNNING:
                 if t.completion_ev is None:
                     bound = next_event
                 else:
                     bound = t.run_start + t.run_work
-            elif state is ThreadState.READY:
+            elif state is _READY:
                 bound = next_event + t.work_remaining
             elif t.wake_ev is not None:  # SLEEPING
                 bound = t.wake_ev.time

@@ -24,6 +24,9 @@ from repro.sim.core import Event, EventPriority, Simulator
 
 __all__ = ["Fabric", "MessageStats"]
 
+#: Plain int: ``schedule_at`` stores ints as is and coerces anything else.
+_PRIO_MESSAGE = int(EventPriority.MESSAGE)
+
 
 @dataclass
 class MessageStats:
@@ -94,16 +97,16 @@ class Fabric:
             raise ValueError("nbytes must be >= 0")
         same = src_node == dst_node
         wire = self.wire_time(nbytes, same_node=same)
-        self.stats.messages += 1
-        self.stats.bytes += nbytes
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += nbytes
         if same:
-            self.stats.intra_node += 1
+            stats.intra_node += 1
         arrival = self.sim.now + wire
-        if self.fault_plane is not None and faultable:
-            extras = self.fault_plane.plan(src_node, dst_node, nbytes)
-        else:
-            extras = (0.0,)
-        for extra in extras:
+        if self.fault_plane is None or not faultable:
+            self.schedule_arrival(arrival, on_arrive, payload)
+            return arrival
+        for extra in self.fault_plane.plan(src_node, dst_node, nbytes):
             self.schedule_arrival(arrival + extra, on_arrive, payload)
         return arrival
 
@@ -116,7 +119,7 @@ class Fabric:
         transmits and, under parallel DES, envelopes from other shards —
         so :meth:`next_arrival` sees every message still on the wire.
         """
-        ev = self.sim.schedule_at(time, on_arrive, payload, priority=EventPriority.MESSAGE)
+        ev = self.sim.schedule_at(time, on_arrive, payload, priority=_PRIO_MESSAGE)
         if self._arrivals is not None:
             self._arrivals.append(ev)
 

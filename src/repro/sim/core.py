@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from enum import IntEnum
 from typing import Any, Callable, Optional
 
@@ -63,6 +64,11 @@ class EventPriority(IntEnum):
     LATE = 4          # bookkeeping that must observe everything else
 
 
+#: Plain-int default priority: ``schedule_at`` only coerces values that are
+#: not already ``int``, so the common case skips an ``IntEnum`` conversion.
+_PRIO_NORMAL = int(EventPriority.NORMAL)
+
+
 class Event:
     """A scheduled callback; returned by :meth:`Simulator.schedule`.
 
@@ -70,28 +76,13 @@ class Event:
     call :meth:`cancel`.  The handle never participates in heap ordering
     (the heap compares ``(time, priority, seq)`` tuples), but ``__lt__``
     is kept so handle lists sort in firing order.
+
+    Handles are made only by :meth:`Simulator.schedule_at`, which sets
+    every slot (``_sim`` is the owning simulator, so :meth:`cancel` can
+    keep its dead-entry count).
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "_cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._cancelled = False
-        #: Owning simulator (None for handles built outside a Simulator);
-        #: lets cancel() maintain the owner's live-entry counter.
-        self._sim = sim
 
     @property
     def active(self) -> bool:
@@ -103,13 +94,14 @@ class Event:
         if not self._cancelled and self.fn is not None:
             # Still live: tell the owning simulator one queued entry died
             # (fired events have fn cleared before the callback runs, so
-            # they never reach this branch).
+            # they never reach this branch).  Marked first, so a
+            # compaction triggered here drops this entry too.
+            self._cancelled = True
             sim = self._sim
-            if sim is not None:
-                sim._live -= 1
-                dead = len(sim._heap) - sim._live
-                if dead >= _COMPACT_MIN_ENTRIES and dead > sim._live:
-                    sim._compact()
+            sim._dead += 1
+            dead = sim._dead
+            if dead >= _COMPACT_MIN_ENTRIES and dead > len(sim._heap) - dead:
+                sim._compact()
         self._cancelled = True
         # Break reference cycles early; a cancelled event may sit in the
         # heap for a long simulated time before being popped and skipped.
@@ -123,6 +115,9 @@ class Event:
         state = "cancelled" if self._cancelled else "active"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time:.3f} prio={self.priority} {name} {state}>"
+
+
+_new_handle = object.__new__
 
 
 class Simulator:
@@ -147,9 +142,10 @@ class Simulator:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        #: Live (non-cancelled) entries currently queued; maintained by
-        #: schedule/pop/cancel so :attr:`pending` is O(1).
-        self._live = 0
+        #: Cancelled entries still in the heap; maintained by cancel, by
+        #: popping dead entries and by compaction, so :attr:`pending` is
+        #: O(1) and scheduling or firing a live event touches no counter.
+        self._dead = 0
         self._running = False
         #: Optional sanitizer hook invoked (with no arguments) after every
         #: processed event.  Installed by
@@ -166,11 +162,12 @@ class Simulator:
         delay: float,
         fn: Callable[..., Any],
         *args: Any,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _PRIO_NORMAL,
     ) -> Event:
         """Schedule *fn(*args)* to run *delay* µs from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        # ``not >=`` rather than ``<``: a NaN delay fails every comparison.
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay {delay!r}")
         return self.schedule_at(self.now + delay, fn, *args, priority=priority)
 
     def schedule_at(
@@ -178,16 +175,29 @@ class Simulator:
         time: float,
         fn: Callable[..., Any],
         *args: Any,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _PRIO_NORMAL,
     ) -> Event:
-        """Schedule *fn(*args)* at absolute time *time* (µs)."""
-        if time < self.now:
+        """Schedule *fn(*args)* at absolute time *time* (µs).
+
+        The handle's ``priority`` is always a plain ``int`` (checkpoint
+        snapshots rely on it); callers on the hot path pass ints already.
+        """
+        if not time >= self.now:
             raise SimulationError(f"cannot schedule at {time!r}; now is {self.now!r}")
-        priority = int(priority)
+        if priority.__class__ is not int:
+            priority = int(priority)
         seq = next(self._seq)
-        ev = Event(time, priority, seq, fn, args, self)
+        # Slot by slot instead of an ``__init__`` call: this runs once per
+        # event, and the call would cost half as much again as the stores.
+        ev = _new_handle(Event)
+        ev.time = time
+        ev.priority = priority
+        ev.seq = seq
+        ev.fn = fn
+        ev.args = args
+        ev._cancelled = False
+        ev._sim = self
         heapq.heappush(self._heap, (time, priority, seq, ev))
-        self._live += 1
         return ev
 
     # ------------------------------------------------------------------
@@ -205,36 +215,15 @@ class Simulator:
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[3]._cancelled]
         heapq.heapify(heap)
+        self._dead = 0
 
     def _pop_next(self) -> Optional[Event]:
         heap = self._heap
         while heap:
             ev = heapq.heappop(heap)[3]
             if not ev._cancelled:
-                self._live -= 1
                 return ev
-        return None
-
-    def _pop_due(self, bound: float) -> Optional[Event]:
-        """Pop the next live event with ``time <= bound`` in one heap walk.
-
-        Dead (cancelled) entries met on the way are discarded.  A live head
-        beyond *bound* is left in place, so "looking" costs no re-sift —
-        this is the fused replacement for the ``peek_time()`` + ``step()``
-        pair that used to pay two O(log n) traversals per event in
-        :meth:`run_until`.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._cancelled:
-                heapq.heappop(heap)
-                continue
-            if entry[0] > bound:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            return entry[3]
+            self._dead -= 1
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -247,6 +236,7 @@ class Simulator:
         heap = self._heap
         while heap and heap[0][3]._cancelled:
             heapq.heappop(heap)
+            self._dead -= 1
         return heap[0][3].time if heap else None
 
     def _fire(self, ev: Event) -> None:
@@ -275,47 +265,9 @@ class Simulator:
         valve for tests (raises :class:`SimulationError` when exceeded, which
         catches accidental event storms early instead of hanging CI).
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(f"run_until({time!r}) is in the past (now={self.now!r})")
-        processed = 0
-        # The pop/fire pair is inlined below: at profile scale the two
-        # method calls per event are a measurable slice of the engine's
-        # per-event budget.  step()/run() keep the readable methods; this
-        # loop must stay behaviourally identical to _pop_due + _fire.
-        heap = self._heap
-        heappop = heapq.heappop
-        while True:
-            if max_events is not None and processed >= max_events:
-                nxt = self.peek_time()
-                if nxt is not None and nxt <= time:
-                    raise SimulationError(f"exceeded max_events={max_events} before t={time}")
-                break
-            ev = None
-            while heap:
-                entry = heap[0]
-                candidate = entry[3]
-                if candidate._cancelled:
-                    heappop(heap)
-                    continue
-                if entry[0] > time:
-                    break
-                heappop(heap)
-                self._live -= 1
-                ev = candidate
-                break
-            if ev is None:
-                break
-            # -- inline _fire(ev) --
-            self.now = ev.time
-            fn, args = ev.fn, ev.args
-            # Mark fired before invoking so re-entrant cancels are no-ops.
-            ev.fn = None
-            ev.args = ()
-            self._events_processed += 1
-            fn(*args)
-            if self.on_event is not None:
-                self.on_event()
-            processed += 1
+        processed = self._run_through(time, max_events, time)
         self.now = time
         return processed
 
@@ -330,34 +282,42 @@ class Simulator:
         message can still arrive exactly at the horizon instant with an
         earlier tie-break priority.  Returns the number of events processed.
         """
-        if bound < self.now:
+        if not bound >= self.now:
             raise SimulationError(
                 f"run_until_before({bound!r}) is in the past (now={self.now!r})"
             )
+        # Timestamps are floats: "before bound" is "at or before the
+        # float just below it".
+        processed = self._run_through(math.nextafter(bound, -math.inf), max_events, bound)
+        self.now = bound
+        return processed
+
+    def _run_through(self, last: float, max_events: Optional[int], bound: float) -> int:
+        """Fire every live event timestamped ``<= last``; return the count.
+
+        The pop/fire pair is inlined: one heap walk per event pops the dead
+        entries met on the way and leaves a live head beyond *last* in
+        place.  step()/run() keep the readable methods; this loop must stay
+        behaviourally identical to _pop_next + _fire.  *bound* only names
+        the horizon in the ``max_events`` error.
+        """
         processed = 0
+        # One comparison per event instead of a None test plus a compare.
+        limit = -1 if max_events is None else max(max_events, 0)
         heap = self._heap
         heappop = heapq.heappop
-        while True:
-            if max_events is not None and processed >= max_events:
-                nxt = self.peek_time()
-                if nxt is not None and nxt < bound:
-                    raise SimulationError(f"exceeded max_events={max_events} before t={bound}")
-                break
-            ev = None
-            while heap:
-                entry = heap[0]
-                candidate = entry[3]
-                if candidate._cancelled:
-                    heappop(heap)
-                    continue
-                if entry[0] >= bound:
-                    break
+        while heap:
+            entry = heap[0]
+            ev = entry[3]
+            if ev._cancelled:
                 heappop(heap)
-                self._live -= 1
-                ev = candidate
+                self._dead -= 1
+                continue
+            if entry[0] > last:
                 break
-            if ev is None:
-                break
+            if processed == limit:
+                raise SimulationError(f"exceeded max_events={max_events} before t={bound}")
+            heappop(heap)
             # -- inline _fire(ev) --
             self.now = ev.time
             fn, args = ev.fn, ev.args
@@ -369,7 +329,6 @@ class Simulator:
             if self.on_event is not None:
                 self.on_event()
             processed += 1
-        self.now = bound
         return processed
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -394,7 +353,7 @@ class Simulator:
     def pending(self) -> int:
         """Number of live events still queued (O(1): a maintained counter,
         not a heap scan — this sits inside checkpoint/invariant paths)."""
-        return self._live
+        return len(self._heap) - self._dead
 
     def active_events(self) -> list[Event]:
         """Live queued events in firing order (checkpoint/introspection).

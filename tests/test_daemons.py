@@ -91,6 +91,18 @@ class TestEngine:
         c.run_for(ms(95))
         assert h.activations[0] == 9
 
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_jitter_draw_matches_numpy_uniform(self, seed):
+        """The activation loop draws jitter as ``2 * rng.random() - 1``;
+        numpy's ``uniform(-1, 1)`` is ``-1 + 2 * next_double``, so both
+        give the same value and leave the stream in the same state."""
+        import numpy as np
+
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20_000):
+            assert 2.0 * a.random() - 1.0 == float(b.uniform(-1.0, 1.0))
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_per_cpu_spawns_one_per_cpu(self):
         c = one_node_cluster()
         nc = NoiseConfig(daemons=(spec(per_cpu=True),))

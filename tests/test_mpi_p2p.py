@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import ClusterConfig, MachineConfig, MpiConfig
 from repro.machine import Cluster
+from repro.mpi.messages import Message
 from repro.mpi.world import MpiJob
 from repro.units import ms, s
 
@@ -210,3 +211,80 @@ class TestJobLifecycle:
         job = MpiJob(cluster, cluster.place(2, 2), body, config=cfg.mpi)
         job.run(horizon_us=s(1))
         assert len(cluster.trace.marks_named("hello")) == 2
+
+
+class TestConstantCostRequests:
+    """MpiWorld builds its constant-cost requests once and shares them."""
+
+    @staticmethod
+    def _world(overhead_us=None):
+        from repro.config import NetworkConfig
+        from repro.mpi.world import MpiWorld
+
+        net = NetworkConfig() if overhead_us is None else NetworkConfig(overhead_us=overhead_us)
+        cfg = ClusterConfig(
+            machine=MachineConfig(n_nodes=1, cpus_per_node=2),
+            network=net,
+            mpi=MpiConfig(progress_threads_enabled=False),
+        )
+        cluster = Cluster(cfg)
+        return MpiWorld(cluster, cluster.place(2, 2), cfg.mpi)
+
+    def test_send_recv_and_reduce_share_one_instance_each(self):
+        from dataclasses import FrozenInstanceError
+        import operator
+
+        world = self._world()
+        sends = [next(world.send(0, 1, ("t", i), None, 8)) for i in range(3)]
+        assert all(req is sends[0] for req in sends)
+        world._on_arrive(Message(0, 1, "x", None, 8))
+        assert next(world.recv(1, 0, "x")) is sends[0]
+        reduces = [next(world.reduce_local(operator.add, 1, 2, 8)) for _ in range(2)]
+        assert reduces[0] is reduces[1]
+        assert reduces[0].duration_us == world.config.reduce_op_us
+        with pytest.raises(FrozenInstanceError):
+            sends[0].duration_us = 0.0
+
+    def test_world_charges_its_configured_overhead(self):
+        req = next(self._world(overhead_us=7.25).send(0, 1, "t", None, 8))
+        assert req.duration_us == 7.25
+        default = next(self._world().send(0, 1, "t", None, 8))
+        assert default.duration_us != 7.25
+
+    def test_configured_overhead_reaches_cpu_time(self):
+        from repro.config import NetworkConfig
+
+        def body(rank, api):
+            if rank == 0:
+                yield from api.send(1, "t", None)
+            else:
+                yield from api.recv(0, "t")
+
+        used = {}
+        for overhead in (5.0, 40.0):
+            cfg = ClusterConfig(
+                machine=MachineConfig(n_nodes=2, cpus_per_node=2),
+                network=NetworkConfig(overhead_us=overhead),
+                mpi=MpiConfig(progress_threads_enabled=False),
+            )
+            cluster = Cluster(cfg)
+            job = MpiJob(cluster, cluster.place(2, 1), body, config=cfg.mpi)
+            job.run(horizon_us=s(1))
+            used[overhead] = job.tasks[0].stats.cpu_time_us
+        assert used[40.0] - used[5.0] == pytest.approx(35.0)
+
+
+class TestMailbox:
+    def test_drained_mailbox_keeps_no_empty_queues(self):
+        """Early arrivals wait in the mailbox; once received, their keys
+        go (collective tags are unique per operation, so empty queues
+        would only accumulate)."""
+
+        def body(rank, api):
+            for _ in range(20):
+                yield from api.compute(50.0 if rank else 500.0)
+                yield from api.allreduce(1.0)
+
+        _cluster, job = run_job(body, n_ranks=4, tpn=2)
+        assert job.world.pending_messages() == 0
+        assert job.world._mail == {}

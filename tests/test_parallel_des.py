@@ -12,6 +12,8 @@ the half-open ``run_until_before`` window, the block partition, and the
 creation-order independence of named RNG streams.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +27,7 @@ from repro.config import (
 from repro.daemons.catalog import scale_noise, standard_noise
 from repro.experiments.common import VANILLA16, make_config
 from repro.rng import StreamFactory
-from repro.sim.core import Simulator
+from repro.sim.core import SimulationError, Simulator
 from repro.sim.parallel import run_parallel, validate_sharded_config
 from repro.sim.shard import ShardPlan
 from repro.units import ms, s
@@ -156,6 +158,25 @@ class TestRunUntilBefore:
         sim = Simulator()
         sim.run_until_before(10.0)
         assert sim.now == 10.0
+
+    def test_float_just_below_the_bound_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(3.0, fired.append, "at")
+        sim.schedule_at(math.nextafter(3.0, 0.0), fired.append, "below")
+        sim.run_until_before(3.0)
+        assert fired == ["below"]
+
+    def test_max_events_counts_only_the_window(self):
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda: None)
+        assert sim.run_until_before(3.0, max_events=2) == 2
+        sim = Simulator()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda: None)
+        with pytest.raises(SimulationError, match="before t=3.0"):
+            sim.run_until_before(3.0, max_events=1)
 
 
 # ---------------------------------------------------------------------------

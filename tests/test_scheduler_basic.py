@@ -211,6 +211,22 @@ class TestYield:
         assert done == [t.tid]
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize("request_cls", [Compute, Sleep])
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_or_nan_duration_rejected(self, request_cls, bad):
+        with pytest.raises(ValueError):
+            request_cls(bad)
+
+    def test_requests_are_frozen(self):
+        from dataclasses import FrozenInstanceError
+
+        req = Compute(5.0)
+        with pytest.raises(FrozenInstanceError):
+            req.duration_us = 1.0
+        assert req == Compute(5.0) and hash(req) == hash(Compute(5.0))
+
+
 class TestSpawnValidation:
     def test_bad_affinity_raises(self, harness):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """DES engine: ordering, cancellation, determinism."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,6 +200,62 @@ class TestRunUntil:
         assert sim.events_processed == 3
 
 
+class TestNanGuards:
+    """NaN fails every ``<`` comparison, so ``if x < bound`` guards let it
+    through; each guard is written ``if not x >= bound`` instead."""
+
+    def test_schedule_nan_delay_raises(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule(math.nan, lambda: None)
+
+    def test_schedule_at_nan_raises(self):
+        with pytest.raises(SimulationError):
+            Simulator().schedule_at(math.nan, lambda: None)
+
+    def test_nan_event_cannot_reorder_a_run(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(math.nan, fired.append, "nan")
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.schedule_at(3.0, fired.append, "c")
+        sim.run()
+        assert fired == ["b", "c", "a"]
+        assert sim.now == 5.0
+
+    def test_run_until_nan_raises(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run_until(math.nan)
+        with pytest.raises(SimulationError):
+            sim.run_until_before(math.nan)
+        assert sim.now == 0.0 and sim.pending == 1
+
+
+class TestPriorityIsPlainInt:
+    def test_enum_priority_is_stored_as_int(self):
+        sim = Simulator()
+        ev = sim.schedule_at(1.0, lambda: None, priority=EventPriority.KERNEL)
+        assert type(ev.priority) is int and ev.priority == 2
+        ev = sim.schedule(1.0, lambda: None)
+        assert type(ev.priority) is int and ev.priority == EventPriority.NORMAL
+
+    def test_checkpoint_description_round_trips(self):
+        import json
+
+        from repro.checkpoint.snapshot import StateDescriber
+        from repro.config import ClusterConfig, MachineConfig
+        from repro.machine import Cluster
+
+        cluster = Cluster(ClusterConfig(machine=MachineConfig(n_nodes=1, cpus_per_node=1)))
+        ev = cluster.sim.schedule_at(4.0, print, 1, priority=EventPriority.KERNEL)
+        described = StateDescriber(cluster).event(ev)
+        assert type(described["p"]) is int
+        assert json.loads(json.dumps(described)) == described
+
+
 class TestStep:
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
@@ -214,7 +272,7 @@ class TestStep:
 def _reference_run_until(sim, time, max_events=None):
     """The pre-fusion ``run_until`` loop: peek_time() then step(), two heap
     walks per event.  Kept here as the semantic reference for the fused
-    ``_pop_due`` implementation."""
+    single-walk ``run_until`` loop."""
     if time < sim.now:
         raise SimulationError(f"run_until({time!r}) is in the past")
     processed = 0
